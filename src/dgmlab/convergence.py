@@ -410,14 +410,20 @@ def frontier_samples(horizon: int, min_index: int = 1) -> list[tuple[int, int]]:
     return sorted(pts)
 
 
-def _build_decay_report(samples: list[tuple[int, int]], values: np.ndarray,
-                        thresholds: Sequence[int], conclusive: bool) -> DecayReport:
+def _decay_thresholds(samples: list[tuple[int, int]], thresholds: Sequence[int]) -> list[int]:
+    """The thresholds, checked before any sample is computed: strictly
+    increasing, and reached by the largest index sum m + n of the samples."""
     ts = [int(t) for t in thresholds]
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("thresholds must be strictly increasing")
-    sums = np.array([m + n for m, n in samples])
-    if sums.max() < ts[-1]:
+    if not samples or max(m + n for m, n in samples) < ts[-1]:
         raise ValueError("sampling horizon does not reach the largest threshold")
+    return ts
+
+
+def _build_decay_report(samples: list[tuple[int, int]], values: np.ndarray,
+                        ts: list[int], conclusive: bool) -> DecayReport:
+    sums = np.array([m + n for m, n in samples])
     tails = []
     for t in ts:
         sel = values[sums >= t]
@@ -436,20 +442,22 @@ def jk_decay(c: DoubleSequenceRule, thresholds: Sequence[int],
              horizon: int = 1 << 14) -> DecayReport:
     """Sample ``j * k * |c_jk|`` along the frontier paths."""
     samples = frontier_samples(horizon, min_index=1)
+    ts = _decay_thresholds(samples, thresholds)
     ms = np.array([m for m, _ in samples], dtype=np.int64)
     ns = np.array([n for _, n in samples], dtype=np.int64)
     values = ms * ns * np.abs(c.values(ms, ns))
-    return _build_decay_report(samples, values, thresholds, conclusive=True)
+    return _build_decay_report(samples, values, ts, conclusive=True)
 
 
 def loglog_decay(c: DoubleSequenceRule, thresholds: Sequence[int],
                  horizon: int = 1 << 14) -> DecayReport:
     """Sample ``m * n * ln(m) * ln(n) * |c_mn|``; indices start at 2."""
     samples = frontier_samples(horizon, min_index=2)
+    ts = _decay_thresholds(samples, thresholds)
     ms = np.array([m for m, _ in samples], dtype=np.int64)
     ns = np.array([n for _, n in samples], dtype=np.int64)
     values = ms * ns * np.log(ms) * np.log(ns) * np.abs(c.values(ms, ns))
-    return _build_decay_report(samples, values, thresholds, conclusive=True)
+    return _build_decay_report(samples, values, ts, conclusive=True)
 
 
 def classify_decay(report: DecayReport) -> DecayVerdict:
@@ -612,13 +620,14 @@ def tail_decay_report(fn: Callable[[int, int], tuple[float, bool]],
     """Sample a tail quantity over the frontier anchors and report it."""
     anchors = [a for a in frontier_samples(horizon, min_index)
                if max(a) <= horizon]
+    ts = _decay_thresholds(anchors, thresholds)
     vals = []
     conclusive = True
     for m, n in anchors:
         v, ok = fn(m, n)
         vals.append(v)
         conclusive = conclusive and ok
-    return _build_decay_report(anchors, np.asarray(vals, float), thresholds, conclusive)
+    return _build_decay_report(anchors, np.asarray(vals, float), ts, conclusive)
 
 
 # ---------------------------------------------------------------------------

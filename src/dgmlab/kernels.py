@@ -127,18 +127,23 @@ def sbp_decompose(seq: SequenceRule, n: int, m: int, r: int, x: float) -> SbpDec
         raise ValueError("step r must be >= 1")
     s = _half_denominator(r, x)
 
-    ks = np.arange(n, m + 1)
+    # one evaluation of a_n .. a_{m+r} and one exact-cosine call over the
+    # three kernel ranges k = n..m, m+1..m+r and n..n+r-1: per-call overhead
+    # dominates at desk lengths
+    length = m - n + 1
+    ks = np.arange(n, m + r + 1)
+    vals = seq.values(ks)
     # exactly rounded accumulation and exact-angle kernels: the identity
     # balances kernel-sized cancellations that plain float products and
     # pairwise summation only resolve to ~1e-12 at desk lengths
-    kern = _cos_exact(ks + 0.5 * r, x) / (2.0 * s)
-    main = -_exact_sum(step_diff_values(seq, ks, r) * kern)
+    cos = _cos_exact(np.concatenate([ks[:length] + 0.5 * r, ks[length:] - 0.5 * r,
+                                     ks[:r] - 0.5 * r]), x)
+    kern = cos[:length] / (2.0 * s)
+    main = -_exact_sum((vals[:length] - vals[r:length + r]) * kern)
 
     # kernel at step -r: cos((k - r/2) x) / (2 sin(-rx/2)) = -cos((k - r/2) x) / (2 s)
-    up = np.arange(m + 1, m + r + 1)
-    upper = _exact_sum(seq.values(up) * (-_cos_exact(up - 0.5 * r, x) / (2.0 * s)))
-    low = np.arange(n, n + r)
-    lower = -_exact_sum(seq.values(low) * (-_cos_exact(low - 0.5 * r, x) / (2.0 * s)))
+    upper = _exact_sum(vals[length:] * (-cos[length:length + r] / (2.0 * s)))
+    lower = -_exact_sum(vals[:r] * (-cos[length + r:] / (2.0 * s)))
     return SbpDecomposition(main, upper, lower)
 
 

@@ -1,8 +1,13 @@
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 
-from dgmlab.cli import main
+from dgmlab.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(tmp_path, *argv):
@@ -223,6 +228,17 @@ class TestTableInput:
         assert run(tmp_path, "membership", "--seq", "table",
                    "--table-file", str(path)) == 3
 
+    def test_real_table_converges_exactly(self, tmp_path, capsys):
+        # every rectangle beyond the 2x2 support sums to zero
+        path = tmp_path / "tiny.csv"
+        path.write_text("1,1,0.5\n1,2,0.25\n2,1,0.25\n2,2,0.125\n")
+        code = run(tmp_path, "converge", "--seq", "table", "--table-file", str(path),
+                   "--cap", "64", "--no-plot")
+        assert code == 0
+        assert "exact=true" in capsys.readouterr().out
+        _, rows = read_csv(tmp_path / "profile.csv")
+        assert rows and all(float(r[1]) == 0.0 for r in rows)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -240,6 +256,100 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
         assert main(["membership", "--config", str(cfg)]) == 3
+
+    def run_with(self, tmp_path, name, lines, *argv):
+        """Run with a config file of ``lines`` into its own output directory."""
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(lines)
+        return main([*argv, "--config", str(cfg), "--out", str(out)]), out
+
+    def test_false_switches_behave_like_absent_lines(self, tmp_path, capsys):
+        cases = [
+            ("single", "membership.csv",
+             ["membership", "--seq", "geometric", "--p", "1", "--family", "mean-value"]),
+            ("restricted", "ratio.csv",
+             ["counterexample", "ratio", "--seq-p", "2", "--octaves", "4:8"]),
+            ("no-plot", "profile.csv",
+             ["converge", "--seq", "geometric", "--cap", "256", "--thresholds", "10,20"]),
+        ]
+        for key, table, argv in cases:
+            runs = {}
+            for name, lines in (("absent", ""), ("false", f"{key} = False\n"),
+                                ("true", f"{key} = true\n")):
+                code, out = self.run_with(tmp_path, f"{key}-{name}", lines, *argv)
+                runs[name] = (code, capsys.readouterr().out, (out / table).read_bytes())
+            assert runs["false"] == runs["absent"], key
+            if key != "no-plot":
+                assert runs["true"] != runs["absent"], key
+        assert (tmp_path / "no-plot-false" / "profile.svg").exists()
+        assert not (tmp_path / "no-plot-true" / "profile.svg").exists()
+
+    def test_true_switch_equals_flag(self, tmp_path):
+        argv = ["membership", "--seq", "geometric", "--p", "1", "--r", "2",
+                "--family", "mean-value"]
+        code, out = self.run_with(tmp_path, "cfg", "single = TRUE\n", *argv)
+        assert code == main([*argv, "--single", "--out", str(tmp_path / "flag")]) == 0
+        want = (tmp_path / "flag" / "membership.csv").read_bytes()
+        assert (out / "membership.csv").read_bytes() == want
+
+    def test_bad_switch_value_names_field(self, tmp_path, capsys):
+        code, _ = self.run_with(tmp_path, "cfg", "single = maybe\n", "membership")
+        assert code == 3
+        assert "single" in capsys.readouterr().err
+
+    def test_bad_number_names_field(self, tmp_path, capsys):
+        code, _ = self.run_with(tmp_path, "cfg", "cap = abc\n", "membership")
+        assert code == 3
+        assert "cap" in capsys.readouterr().err
+
+    def test_negative_number_parses(self, tmp_path, capsys):
+        code, _ = self.run_with(tmp_path, "cfg", "p = -1\n", "membership")
+        assert code == 3
+        assert "field 'p': must be positive" in capsys.readouterr().err
+
+
+class TestGridSpellings:
+    argv = ["converge", "--seq", "geometric", "--cap", "256", "--thresholds", "10,20",
+            "--no-plot"]
+
+    def profile(self, tmp_path, name, *extra):
+        assert main([*self.argv, *extra, "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "profile.csv").read_bytes()
+
+    def test_long_option_beats_compact_key(self, tmp_path):
+        long = self.profile(tmp_path, "long", "--grid-r", "4")
+        assert self.profile(tmp_path, "both", "--grid-r", "4", "--grid", "r=5") == long
+        assert self.profile(tmp_path, "compact", "--grid", "r=5") != long
+
+    def test_long_config_beats_compact_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-r = 4\n")
+        long = self.profile(tmp_path, "long", "--grid-r", "4")
+        assert self.profile(tmp_path, "mixed", "--config", str(cfg), "--grid", "r=5") == long
+
+    def test_compact_key_beats_r(self, tmp_path):
+        assert (self.profile(tmp_path, "compact", "--grid", "r=2", "--r", "5")
+                == self.profile(tmp_path, "long", "--grid-r", "2"))
+
+
+def readme_commands():
+    """Every ``dgmlab`` command in the README's ``sh`` blocks, as argv lists."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "dgmlab":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 16
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 class TestUsageErrors:

@@ -22,6 +22,7 @@ from dgmlab.convergence import (
     regular_remainder_sup,
     row_diff_tail_sup,
     row_tail_sup,
+    tail_decay_report,
 )
 from dgmlab.sequences import (
     DoubleSequenceRule,
@@ -288,6 +289,19 @@ class TestDecayReports:
     def test_horizon_must_reach_thresholds(self):
         with pytest.raises(ValueError):
             jk_decay(zero_double_rule(), [10**7], horizon=1 << 10)
+
+    def test_thresholds_checked_before_any_sample(self):
+        calls = []
+
+        def fn(m, n):
+            calls.append((m, n))
+            return 0.0, True
+
+        with pytest.raises(ValueError, match="does not reach"):
+            tail_decay_report(fn, [16, 64, 4096], horizon=256)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tail_decay_report(fn, [64, 16], horizon=256)
+        assert calls == []
 
 
 class TestTailSups:
