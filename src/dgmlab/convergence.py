@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .parallel import pmap
 from .sequences import (
     HORIZON_LIMIT,
     DoubleSequenceRule,
@@ -151,84 +150,96 @@ class RemainderProfile:
 
 
 def _suffix_max(a: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(a[::-1])[::-1]
+    """Suffix maxima along the last axis."""
+    return np.maximum.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _start_maxima(prefix: np.ndarray) -> np.ndarray:
-    """best[m-1] = max over M in [m, cap] of |prefix[M] - prefix[m-1]|.
+    """best[..., m-1] = max over M in [m, cap] of |prefix[..., M] - prefix[..., m-1]|.
 
-    ``prefix`` is the real partial-sum array with prefix[0] = 0.
+    ``prefix`` holds real partial sums along its last axis with
+    prefix[..., 0] = 0.
     """
-    cap = prefix.size - 1
-    smax = _suffix_max(prefix[1:])
-    smin = -_suffix_max(-prefix[1:])
-    starts = prefix[:cap]
+    cap = prefix.shape[-1] - 1
+    smax = _suffix_max(prefix[..., 1:])
+    smin = -_suffix_max(-prefix[..., 1:])
+    starts = prefix[..., :cap]
     return np.maximum(smax - starts, starts - smin)
 
 
-def _point_sups_product(c: DoubleSequenceRule, x: float, y: float,
+def _point_sups_product(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
-                        caps: tuple[int, int]) -> list[tuple[float, int, int]]:
+                        caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     u, v = c.factors
     cap_m, cap_n = caps
-    pu = _start_maxima(np.concatenate(
-        ([0.0], np.cumsum(u.values(np.arange(1, cap_m + 1)).real
-                          * np.sin(np.arange(1, cap_m + 1) * x)))))
-    pv_arr = np.concatenate(
-        ([0.0], np.cumsum(v.values(np.arange(1, cap_n + 1)).real
-                          * np.sin(np.arange(1, cap_n + 1) * y))))
-    pv = _start_maxima(pv_arr)
-    sv = _suffix_max(pv)
-    out = []
     ms = np.arange(1, cap_m + 1)
-    for t in thresholds:
-        lo_n = np.clip(t + 1 - ms, 1, cap_n + 1)
-        ok = lo_n <= cap_n
-        cand = np.where(ok, pu * sv[np.minimum(lo_n, cap_n) - 1], -np.inf)
-        i = int(np.argmax(cand))
-        if not np.isfinite(cand[i]):
-            out.append((0.0, 0, 0))
-            continue
-        a = int(lo_n[i])
-        n_star = a + int(np.argmax(pv[a - 1:]))
-        out.append((float(cand[i]), int(ms[i]), n_star))
-    return out
+    ns = np.arange(1, cap_n + 1)
+    u_vals = u.values(ms).real
+    v_vals = v.values(ns).real
+    results = []
+    for x, y in points:
+        pu = _start_maxima(np.concatenate(([0.0], np.cumsum(u_vals * np.sin(ms * x)))))
+        pv = _start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
+        sv = _suffix_max(pv)
+        out = []
+        for t in thresholds:
+            lo_n = np.clip(t + 1 - ms, 1, cap_n + 1)
+            ok = lo_n <= cap_n
+            cand = np.where(ok, pu * sv[np.minimum(lo_n, cap_n) - 1], -np.inf)
+            i = int(np.argmax(cand))
+            if not np.isfinite(cand[i]):
+                out.append((0.0, 0, 0))
+                continue
+            a = int(lo_n[i])
+            n_star = a + int(np.argmax(pv[a - 1:]))
+            out.append((float(cand[i]), int(ms[i]), n_star))
+        results.append(out)
+    return results
 
 
-def _point_sups_general(c: DoubleSequenceRule, x: float, y: float,
+def _point_sups_general(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
-                        caps: tuple[int, int]) -> list[tuple[float, int, int]]:
-    """Exact scan for real rules at small caps, O(cap^3)."""
-    cap_m, cap_n = caps
-    js = np.arange(1, cap_m + 1)
-    ks = np.arange(1, cap_n + 1)
-    table = (c.values(js[:, None], ks[None, :]).real
-             * np.outer(np.sin(js * x), np.sin(ks * y)))
+                        caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
+    """Exact scan for real rules at small caps, O(cap^3) per point."""
+    js = np.arange(1, caps[0] + 1)
+    ks = np.arange(1, caps[1] + 1)
+    vals = c.values(js[:, None], ks[None, :]).real
+    return [_general_scan(vals * np.outer(np.sin(js * x), np.sin(ks * y)), thresholds)
+            for x, y in points]
+
+
+def _general_scan(table: np.ndarray,
+                  thresholds: Sequence[int]) -> list[tuple[float, int, int]]:
+    """Sup of |rectangle sum| of ``table`` per threshold, with the maximizer
+    of smallest m, then smallest M, then smallest n."""
+    cap_m, cap_n = table.shape
     col_prefix = np.vstack([np.zeros(cap_n), np.cumsum(table, axis=0)])
     best = [(-math.inf, 0, 0, 0)] * len(thresholds)
     for m in range(1, cap_m + 1):
-        for M in range(m, cap_m + 1):
-            strip = col_prefix[M] - col_prefix[m - 1]
-            h = np.concatenate(([0.0], np.cumsum(strip)))
-            pw = _start_maxima(h)
-            sw = _suffix_max(pw)
-            for ti, t in enumerate(thresholds):
-                a = max(1, t + 1 - m)
-                if a > cap_n:
-                    continue
-                val = float(sw[a - 1])
-                if val > best[ti][0]:
-                    best[ti] = (val, m, M, a)
+        # row i: prefix sums along k of the strip of rows m..M, M = m + i
+        h = np.zeros((cap_m - m + 1, cap_n + 1))
+        np.cumsum(col_prefix[m:] - col_prefix[m - 1], axis=1, out=h[:, 1:])
+        sw = _suffix_max(_start_maxima(h))
+        for ti, t in enumerate(thresholds):
+            a = max(1, t + 1 - m)
+            if a > cap_n:
+                continue
+            col = sw[:, a - 1]
+            i = int(np.argmax(col))
+            if math.isnan(col[i]):
+                # argmax picks the first NaN; a NaN strip never wins a `>` test
+                col = np.where(np.isnan(col), -np.inf, col)
+                i = int(np.argmax(col))
+            if col[i] > best[ti][0]:
+                best[ti] = (float(col[i]), m, m + i, a)
     out = []
-    for ti, (val, m, M, a) in enumerate(best):
+    for val, m, M, a in best:
         if not math.isfinite(val):
             out.append((0.0, 0, 0))
             continue
         strip = col_prefix[M] - col_prefix[m - 1]
-        h = np.concatenate(([0.0], np.cumsum(strip)))
-        pw = _start_maxima(h)
-        n_star = a + int(np.argmax(pw[a - 1:]))
-        out.append((val, m, n_star))
+        pw = _start_maxima(np.concatenate(([0.0], np.cumsum(strip))))
+        out.append((val, m, a + int(np.argmax(pw[a - 1:]))))
     return out
 
 
@@ -242,17 +253,18 @@ def _corner_ladder(cap: int) -> np.ndarray:
     return np.array(sorted(x for x in vals if 1 <= x <= cap), dtype=np.int64)
 
 
-def _point_sups_sampled(c: DoubleSequenceRule, x: float, y: float,
+def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
-                        caps: tuple[int, int]) -> list[tuple[float, int, int]]:
+                        caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     """Lower-bound sampling over log-spaced rectangle corners."""
     cap_m = min(caps[0], CORNER_TABLE_CAP)
     cap_n = min(caps[1], CORNER_TABLE_CAP)
     js = np.arange(1, cap_m + 1)
     ks = np.arange(1, cap_n + 1)
-    table = c.values(js[:, None], ks[None, :]) * np.outer(np.sin(js * x), np.sin(ks * y))
-    pref = np.zeros((cap_m + 1, cap_n + 1), dtype=complex)
-    np.cumsum(np.cumsum(table, axis=0), axis=1, out=pref[1:, 1:])
+    vals = c.values(js[:, None], ks[None, :])
+    if c.real:
+        # |re + 0j| == |re|, so the float table gives the same sums bit for bit
+        vals = vals.real.copy()
 
     lad_m, lad_n = _corner_ladder(cap_m), _corner_ladder(cap_n)
     pairs_m = [(m, M) for m in lad_m for M in lad_m if M >= m]
@@ -261,35 +273,52 @@ def _point_sups_sampled(c: DoubleSequenceRule, x: float, y: float,
     aM = np.array([p[1] for p in pairs_m])
     an = np.array([p[0] for p in pairs_n])
     aN = np.array([p[1] for p in pairs_n])
-    rect = np.abs(pref[aM[:, None], aN[None, :]] - pref[am[:, None] - 1, aN[None, :]]
-                  - pref[aM[:, None], an[None, :] - 1] + pref[am[:, None] - 1, an[None, :] - 1])
     sums = am[:, None] + an[None, :]
-    out = []
-    for t in thresholds:
-        masked = np.where(sums > t, rect, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if not np.isfinite(masked[i, j]):
-            out.append((0.0, 0, 0))
-        else:
-            out.append((float(masked[i, j]), int(am[i]), int(an[j])))
-    return out
+    # only the prefix rows M and m - 1 of the ladder corners are read;
+    # row 0 of ``pref`` is the zero row
+    rows = np.union1d(lad_m, lad_m - 1)[1:]
+    at = np.zeros(cap_m + 1, dtype=np.int64)
+    at[rows] = np.arange(1, rows.size + 1)
+    hi, lo = at[aM][:, None], at[am - 1][:, None]
+    results = []
+    for x, y in points:
+        table = vals * np.outer(np.sin(js * x), np.sin(ks * y))
+        for i in range(1, cap_m):
+            # row by row: the bits of cumsum(axis=0), with contiguous rows
+            np.add(table[i - 1], table[i], out=table[i])
+        pref = np.zeros((rows.size + 1, cap_n + 1), dtype=table.dtype)
+        np.cumsum(table[rows - 1], axis=1, out=pref[1:, 1:])
+        rect = np.abs(pref[hi, aN[None, :]] - pref[lo, aN[None, :]]
+                      - pref[hi, an[None, :] - 1] + pref[lo, an[None, :] - 1])
+        out = []
+        for t in thresholds:
+            masked = np.where(sums > t, rect, -np.inf)
+            i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+            if not np.isfinite(masked[i, j]):
+                out.append((0.0, 0, 0))
+            else:
+                out.append((float(masked[i, j]), int(am[i]), int(an[j])))
+        results.append(out)
+    return results
 
 
-def _point_sups(c: DoubleSequenceRule, x: float, y: float,
-                thresholds: Sequence[int],
-                caps: tuple[int, int]) -> tuple[list[tuple[float, int, int]], bool]:
+def _point_sups(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
+                thresholds: Sequence[int], caps: tuple[int, int],
+                ) -> tuple[list[list[tuple[float, int, int]]], bool]:
+    """Per point (x, y), the (sup, m, n) of each threshold, and whether the
+    sups are exact.  The rule is evaluated once for all the points."""
     if c.factors is not None and c.real:
-        return _point_sups_product(c, x, y, thresholds, caps), True
+        return _point_sups_product(c, points, thresholds, caps), True
     if c.support is not None:
         eff = (min(caps[0], c.support[0]), min(caps[1], c.support[1]))
         if c.real and max(eff) <= EXACT_GENERAL_CAP:
-            sups = _point_sups_general(c, x, y, thresholds, eff)
+            sups = _point_sups_general(c, points, thresholds, eff)
             # rows/columns beyond the support contribute nothing
             return sups, True
-        return _point_sups_sampled(c, x, y, thresholds, caps), False
+        return _point_sups_sampled(c, points, thresholds, caps), False
     if c.real and max(caps) <= EXACT_GENERAL_CAP:
-        return _point_sups_general(c, x, y, thresholds, caps), True
-    return _point_sups_sampled(c, x, y, thresholds, caps), False
+        return _point_sups_general(c, points, thresholds, caps), True
+    return _point_sups_sampled(c, points, thresholds, caps), False
 
 
 def _convergence_verdict(sups: Sequence[float], exact: bool) -> ConvergenceVerdict:
@@ -328,17 +357,11 @@ def regular_remainder_sup(c: DoubleSequenceRule, grid, thresholds: Sequence[int]
     if pts.size == 0:
         raise ValueError("empty abscissa grid")
     pairs = [(float(x), float(y)) for x in pts for y in pts]
-
-    def one(pair):
-        x, y = pair
-        return _point_sups(c, x, y, ts, caps)
-
-    results = pmap(one, pairs)
-    exact = all(flag for _, flag in results)
+    results, exact = _point_sups(c, pairs, ts, caps)
     entries = []
     for ti, t in enumerate(ts):
-        best = max(range(len(pairs)), key=lambda i: results[i][0][ti][0])
-        sup, m, n = results[best][0][ti]
+        best = max(range(len(pairs)), key=lambda i: results[i][ti][0])
+        sup, m, n = results[best][ti]
         x, y = pairs[best]
         entries.append(ProfileEntry(t, sup, m, n, x, y))
     verdict = _convergence_verdict([e.sup for e in entries], exact)
@@ -364,8 +387,8 @@ def rational_point_convergence(c: DoubleSequenceRule, r: int, l1: int, l2: int,
     ts = _validate_thresholds(thresholds, caps)
     x = 2 * l1 * math.pi / r
     y = 2 * l2 * math.pi / r
-    sups, exact = _point_sups(c, x, y, ts, caps)
-    entries = [ProfileEntry(t, s, m, n, x, y) for t, (s, m, n) in zip(ts, sups)]
+    sups, exact = _point_sups(c, [(x, y)], ts, caps)
+    entries = [ProfileEntry(t, s, m, n, x, y) for t, (s, m, n) in zip(ts, sups[0])]
     verdict = _convergence_verdict([e.sup for e in entries], exact)
     return RemainderProfile(entries, tuple(caps), verdict, exact, 1)
 
@@ -642,7 +665,7 @@ def log_integral_bound(n: int, N: int, p: float) -> tuple[float, float]:
     """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
-    if p < 1:
+    if not p >= 1:  # also refuses NaN
         raise ValueError("need p >= 1")
     lower = n + N ** (1.0 / p)
     value = math.log(math.log(n + N)) - math.log(math.log(lower))

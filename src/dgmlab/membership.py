@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .parallel import pmap
 from .sequences import (
     HORIZON_LIMIT,
     DoubleSequenceRule,
@@ -240,22 +239,25 @@ def _frontier_sup(c: DoubleSequenceRule, lo_sum: int, cap: int) -> BoundValue:
         # scan may have stopped short
         m_capped, n_capped = cap < jmax, cap < kmax
         exact = True
+        # rows and columns past the support are zero: their prefix sums
+        # repeat the box edge's, so the window ends are clamped to it
+        rows, cols = min(2 * m_hi, jmax), min(2 * n_hi, kmax)
     else:
         m_hi = n_hi = min(cap, GENERAL_MIXED_CAP)
         exact = cap <= GENERAL_MIXED_CAP
         m_capped = n_capped = True
         if lo_sum > m_hi + n_hi:
             return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+        rows = cols = 2 * m_hi
 
-    top = 2 * max(m_hi, n_hi)
-    js = np.arange(1, top + 1)
-    grid = np.abs(c.values(js[:, None], js[None, :]))
-    pref = np.zeros((top + 1, top + 1))
+    grid = np.abs(c.values(np.arange(1, rows + 1)[:, None], np.arange(1, cols + 1)[None, :]))
+    pref = np.zeros((rows + 1, cols + 1))
     np.cumsum(np.cumsum(grid, axis=0), axis=1, out=pref[1:, 1:])
     ms = np.arange(1, m_hi + 1)
     ns = np.arange(1, n_hi + 1)
-    w = (pref[np.ix_(2 * ms, 2 * ns)] - pref[np.ix_(ms - 1, 2 * ns)]
-         - pref[np.ix_(2 * ms, ns - 1)] + pref[np.ix_(ms - 1, ns - 1)])
+    m_end, n_end = np.minimum(2 * ms, rows), np.minimum(2 * ns, cols)
+    w = (pref[np.ix_(m_end, n_end)] - pref[np.ix_(ms - 1, n_end)]
+         - pref[np.ix_(m_end, ns - 1)] + pref[np.ix_(ms - 1, ns - 1)])
     mask = (ms[:, None] + ns[None, :]) >= lo_sum
     w = np.where(mask, w, -np.inf)
     i, j = np.unravel_index(int(np.argmax(w)), w.shape)
@@ -364,8 +366,7 @@ def membership_scan(c: DoubleSequenceRule, p: float, r: int, spec: BoundSpec,
                                      truncated=rhs.truncated or not rhs.conclusive))
         return out
 
-    evidence = [e for chunk in pmap(one, list(blocks)) for e in chunk]
-    return _aggregate(evidence)
+    return _aggregate([e for block in blocks for e in one(block)])
 
 
 def _aggregate(evidence: list[BlockEvidence]) -> MembershipReport:
@@ -424,8 +425,7 @@ def gm_membership_scan(seq: SequenceRule, p: float, r: int, spec: BoundSpec,
         return [BlockEvidence(m, 0, "row", lhs, rhs.value, ratio,
                               truncated=rhs.truncated or not rhs.conclusive)]
 
-    evidence = [e for chunk in pmap(one, list(blocks)) for e in chunk]
-    return _aggregate(evidence)
+    return _aggregate([e for m in blocks for e in one(m)])
 
 
 # ---------------------------------------------------------------------------

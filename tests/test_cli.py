@@ -165,6 +165,9 @@ class TestLogIntegralCommand:
     def test_p_below_one_rejected(self, tmp_path):
         assert run(tmp_path, "log-integral", "--p", "0.5") == 3
 
+    def test_nan_p_rejected(self, tmp_path):
+        assert run(tmp_path, "log-integral", "--p", "nan") == 3
+
 
 class TestCounterexampleCommand:
     def test_certify(self, tmp_path):

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dgmlab.convergence import (
+    EXACT_GENERAL_CAP,
     ConvergenceVerdict,
     DecayVerdict,
     GridSpec,
+    _corner_ladder,
+    _general_scan,
     _point_sups,
     classify_decay,
     col_diff_tail_sup,
@@ -117,6 +121,82 @@ def brute_force_sups(c, x, y, thresholds, caps):
     return out
 
 
+def point_sups(c, x, y, thresholds, caps):
+    sups, exact = _point_sups(c, [(x, y)], thresholds, caps)
+    return sups[0], exact
+
+
+def _suffix_max_1d(a):
+    return np.maximum.accumulate(a[::-1])[::-1]
+
+
+def _start_maxima_1d(prefix):
+    cap = prefix.size - 1
+    smax = _suffix_max_1d(prefix[1:])
+    smin = -_suffix_max_1d(-prefix[1:])
+    starts = prefix[:cap]
+    return np.maximum(smax - starts, starts - smin)
+
+
+def loop_general_sups(c, x, y, thresholds, caps):
+    js = np.arange(1, caps[0] + 1)
+    ks = np.arange(1, caps[1] + 1)
+    table = (c.values(js[:, None], ks[None, :]).real
+             * np.outer(np.sin(js * x), np.sin(ks * y)))
+    return loop_general_scan(table, thresholds)
+
+
+def loop_general_scan(table, thresholds):
+    """The general scan as one loop over every (m, M) strip: the reference
+    for the exact path's sups and its (smallest m, M, n) tie-breaking."""
+    cap_m, cap_n = table.shape
+    col_prefix = np.vstack([np.zeros(cap_n), np.cumsum(table, axis=0)])
+    best = [(-math.inf, 0, 0, 0)] * len(thresholds)
+    for m in range(1, cap_m + 1):
+        for M in range(m, cap_m + 1):
+            strip = col_prefix[M] - col_prefix[m - 1]
+            sw = _suffix_max_1d(_start_maxima_1d(np.concatenate(([0.0], np.cumsum(strip)))))
+            for ti, t in enumerate(thresholds):
+                a = max(1, t + 1 - m)
+                if a > cap_n:
+                    continue
+                val = float(sw[a - 1])
+                if val > best[ti][0]:
+                    best[ti] = (val, m, M, a)
+    out = []
+    for val, m, M, a in best:
+        if not math.isfinite(val):
+            out.append((0.0, 0, 0))
+            continue
+        strip = col_prefix[M] - col_prefix[m - 1]
+        pw = _start_maxima_1d(np.concatenate(([0.0], np.cumsum(strip))))
+        out.append((val, m, a + int(np.argmax(pw[a - 1:]))))
+    return out
+
+
+def full_prefix_sampled_sups(c, x, y, thresholds, caps):
+    """The sampled path with the whole complex prefix table: the reference
+    for its float shortcut and its ladder-row prefix."""
+    cap_m, cap_n = caps
+    js = np.arange(1, cap_m + 1)
+    ks = np.arange(1, cap_n + 1)
+    table = c.values(js[:, None], ks[None, :]) * np.outer(np.sin(js * x), np.sin(ks * y))
+    pref = np.zeros((cap_m + 1, cap_n + 1), dtype=complex)
+    np.cumsum(np.cumsum(table, axis=0), axis=1, out=pref[1:, 1:])
+    lad_m, lad_n = _corner_ladder(cap_m), _corner_ladder(cap_n)
+    am, aM = np.array([(m, M) for m in lad_m for M in lad_m if M >= m]).T
+    an, aN = np.array([(n, N) for n in lad_n for N in lad_n if N >= n]).T
+    rect = np.abs(pref[aM[:, None], aN[None, :]] - pref[am[:, None] - 1, aN[None, :]]
+                  - pref[aM[:, None], an[None, :] - 1] + pref[am[:, None] - 1, an[None, :] - 1])
+    sums = am[:, None] + an[None, :]
+    out = []
+    for t in thresholds:
+        masked = np.where(sums > t, rect, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        out.append((float(masked[i, j]), int(am[i]), int(an[j])))
+    return out
+
+
 class TestPointSups:
     """The profiler's fast paths against exhaustive rectangle enumeration."""
 
@@ -128,7 +208,7 @@ class TestPointSups:
         c = product_rule(rule_from_values(rng.normal(size=12)),
                          rule_from_values(rng.normal(size=12)))
         for x, y in [(0.9, 1.7), (2.2, 0.4)]:
-            got, exact = _point_sups(c, x, y, self.thresholds, self.caps)
+            got, exact = point_sups(c, x, y, self.thresholds, self.caps)
             want = brute_force_sups(c, x, y, self.thresholds, self.caps)
             assert exact
             for (sup, _, _), w in zip(got, want):
@@ -136,7 +216,7 @@ class TestPointSups:
 
     def test_general_real_path(self):
         c = additive_rule(geometric_rule(0.6), power_rule(1.5))
-        got, exact = _point_sups(c, 1.1, 0.8, self.thresholds, self.caps)
+        got, exact = point_sups(c, 1.1, 0.8, self.thresholds, self.caps)
         want = brute_force_sups(c, 1.1, 0.8, self.thresholds, self.caps)
         assert exact
         for (sup, _, _), w in zip(got, want):
@@ -145,7 +225,7 @@ class TestPointSups:
     def test_table_path(self):
         rng = np.random.default_rng(55)
         c = table_rule(rng.normal(size=(8, 9)))
-        got, exact = _point_sups(c, 0.5, 2.0, self.thresholds, (12, 12))
+        got, exact = point_sups(c, 0.5, 2.0, self.thresholds, (12, 12))
         want = brute_force_sups(c, 0.5, 2.0, self.thresholds, (12, 12))
         assert exact
         for (sup, _, _), w in zip(got, want):
@@ -154,7 +234,7 @@ class TestPointSups:
     def test_complex_rule_flags_sampled(self):
         rng = np.random.default_rng(5)
         c = table_rule(rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
-        got, exact = _point_sups(c, 0.5, 2.0, [4], (280, 280))
+        got, exact = point_sups(c, 0.5, 2.0, [4], (280, 280))
         assert not exact
         # sampled sup never exceeds the true sup
         want = brute_force_sups(c, 0.5, 2.0, [4], (30, 30))
@@ -164,7 +244,7 @@ class TestPointSups:
         rng = np.random.default_rng(31)
         c = product_rule(rule_from_values(rng.normal(size=12)),
                          rule_from_values(rng.normal(size=12)))
-        got, _ = _point_sups(c, 0.9, 1.7, [5], self.caps)
+        got, _ = point_sups(c, 0.9, 1.7, [5], self.caps)
         sup, m, n = got[0]
         assert m + n > 5 and sup > 0
 
@@ -172,17 +252,76 @@ class TestPointSups:
         rng = np.random.default_rng(17)
         c1 = product_rule(rule_from_values(rng.normal(size=14)),
                           rule_from_values(rng.normal(size=10)))
-        got, exact = _point_sups(c1, 1.3, 0.6, [3, 7], (12, 7))
+        got, exact = point_sups(c1, 1.3, 0.6, [3, 7], (12, 7))
         want = brute_force_sups(c1, 1.3, 0.6, [3, 7], (12, 7))
         assert exact
         for (sup, _, _), w in zip(got, want):
             assert rel_close(sup, w)
         c2 = additive_rule(geometric_rule(0.7), power_rule(1.2))
-        got2, exact2 = _point_sups(c2, 0.4, 2.1, [3, 7], (9, 13))
+        got2, exact2 = point_sups(c2, 0.4, 2.1, [3, 7], (9, 13))
         want2 = brute_force_sups(c2, 0.4, 2.1, [3, 7], (9, 13))
         assert exact2
         for (sup, _, _), w in zip(got2, want2):
             assert rel_close(sup, w)
+
+    def test_general_scan_matches_loop_reference(self):
+        """Identical (sup, m, n) triples, ties included, with the table
+        evaluated once for all the points."""
+        rng = np.random.default_rng(2024)
+        sym = rng.normal(size=(9, 9))
+        cases = [
+            (table_rule(rng.normal(size=(11, 11))), (11, 11), [(0.5, 2.0), (1.3, 0.6)]),
+            (table_rule(rng.normal(size=(12, 7))), (12, 7), [(1.3, 0.6), (2.9, 0.1)]),
+            (table_rule(rng.normal(size=(6, 13))), (6, 13), [(0.4, 2.1)]),
+            (additive_rule(geometric_rule(0.7), power_rule(1.2)), (9, 13), [(0.4, 2.1)]),
+            # symmetric table at x == y: transposed rectangles tie
+            (table_rule(sym + sym.T), (9, 9), [(0.7, 0.7), (1.9, 1.9)]),
+            (table_rule(np.ones((5, 5))), (5, 5), [(1.0, 1.0)]),
+        ]
+        ts = [1, 2, 5, 9, 12]
+        for c, caps, points in cases:
+            got, exact = _point_sups(c, points, ts, caps)
+            assert exact
+            assert got == [loop_general_sups(c, x, y, ts, caps) for x, y in points]
+
+    def test_general_scan_integer_tables_tie_like_the_loop(self):
+        """Small integer tables sum exactly, so strips of one m often tie."""
+        rng = np.random.default_rng(77)
+        ts = [1, 2, 3, 5, 8]
+        for shape in [(6, 6), (7, 4), (3, 8)] * 10:
+            table = rng.integers(-1, 2, size=shape).astype(float)
+            assert _general_scan(table, ts) == loop_general_scan(table, ts)
+
+    def test_general_scan_skips_nan_strips_like_the_loop(self):
+        table = np.random.default_rng(4).normal(size=(7, 7))
+        table[3, 2] = np.nan
+        c = table_rule(table)
+        got, _ = point_sups(c, 0.9, 1.4, [1, 4, 8], (7, 7))
+        want = loop_general_sups(c, 0.9, 1.4, [1, 4, 8], (7, 7))
+        assert np.array_equal(np.array(got), np.array(want), equal_nan=True)
+
+    def test_sampled_float_shortcut_is_exact(self):
+        """A real rule past the exact cap gives the same sampled sups and
+        maximizers whether or not it is flagged real."""
+        rng = np.random.default_rng(12)
+        n = EXACT_GENERAL_CAP + 20
+        points = [(0.5, 2.0), (2.2, 0.4)]
+        ts = [4, 40, 130]
+        for real in (table_rule(rng.normal(size=(n, n - 7))),
+                     additive_rule(geometric_rule(0.6), power_rule(1.5))):
+            caps = (n, n - 7)
+            as_complex = dataclasses.replace(real, real=False)
+            got, exact = _point_sups(real, points, ts, caps)
+            assert not exact
+            assert got == _point_sups(as_complex, points, ts, caps)[0]
+            assert got == [full_prefix_sampled_sups(real, x, y, ts, caps) for x, y in points]
+
+    def test_sampled_complex_matches_full_prefix(self):
+        rng = np.random.default_rng(5)
+        c = table_rule(rng.normal(size=(150, 140)) + 1j * rng.normal(size=(150, 140)))
+        got, exact = point_sups(c, 0.5, 2.0, [4, 100], (150, 140))
+        assert not exact
+        assert got == full_prefix_sampled_sups(c, 0.5, 2.0, [4, 100], (150, 140))
 
 
 class TestRemainderProfile:
@@ -406,3 +545,5 @@ class TestLogIntegral:
             log_integral_bound(0, 1, 2.0)
         with pytest.raises(ValueError):
             log_integral_bound(1, 1, 0.5)
+        with pytest.raises(ValueError):
+            log_integral_bound(1, 1, math.nan)

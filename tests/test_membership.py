@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from dgmlab.membership import (
     BoundFamily,
     BoundSpec,
+    BoundValue,
     Verdict,
+    _frontier_sup,
     divisor_embedding_check,
     embedding_check,
     gm_membership_scan,
@@ -183,6 +185,45 @@ class TestFrontierTruncationHonesty:
                          horizon_cap=16)
         got = rhs_mixed_bound(geometric_double_rule(0.5), 2, 2, spec)
         assert not got.conclusive
+
+
+def square_frontier_sup(c, lo_sum, cap):
+    """The frontier sup of a rule with bounded support over the square
+    prefix grid of side 2 * max(m_hi, n_hi): the reference for the
+    support-box grid."""
+    jmax, kmax = c.support
+    m_hi, n_hi = min(cap, jmax), min(cap, kmax)
+    if lo_sum > jmax + kmax:
+        return BoundValue(0.0, maximizer=None)
+    if lo_sum > m_hi + n_hi:
+        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+    top = 2 * max(m_hi, n_hi)
+    js = np.arange(1, top + 1)
+    grid = np.abs(c.values(js[:, None], js[None, :]))
+    pref = np.zeros((top + 1, top + 1))
+    np.cumsum(np.cumsum(grid, axis=0), axis=1, out=pref[1:, 1:])
+    ms = np.arange(1, m_hi + 1)
+    ns = np.arange(1, n_hi + 1)
+    w = (pref[np.ix_(2 * ms, 2 * ns)] - pref[np.ix_(ms - 1, 2 * ns)]
+         - pref[np.ix_(2 * ms, ns - 1)] + pref[np.ix_(ms - 1, ns - 1)])
+    w = np.where((ms[:, None] + ns[None, :]) >= lo_sum, w, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(w)), w.shape)
+    best = (int(ms[i]), int(ns[j]))
+    truncated = (cap < jmax and best[0] == m_hi) or (cap < kmax and best[1] == n_hi)
+    return BoundValue(float(w[i, j]), maximizer=best, truncated=truncated)
+
+
+class TestFrontierSupportBox:
+    """The support-box prefix grid against the square grid, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (40, 40), (3, 50), (50, 3), (1, 9)])
+    @pytest.mark.parametrize("ones", [False, True])
+    def test_matches_square_grid(self, shape, ones):
+        rng = np.random.default_rng(sum(shape))
+        c = table_rule(np.ones(shape) if ones else rng.uniform(-1.0, 1.0, size=shape))
+        for cap in (1, 2, 8, 64):
+            for lo_sum in (2, 3, 7, 30, 52, 60, 120):
+                assert _frontier_sup(c, lo_sum, cap) == square_frontier_sup(c, lo_sum, cap)
 
 
 def test_sup_window_dominates_max_window_rows():
