@@ -69,23 +69,18 @@ from .sequences import (
     HORIZON_LIMIT,
     DoubleSequenceRule,
     SequenceRule,
-    SingleTailEnvelope,
     TailEnvelope,
     additive_rule,
     block_p_norm,
-    col_diff,
     constant_rule,
     double_block_p_norm,
     geometric_double_rule,
     geometric_rule,
-    mixed_diff,
     power_double_rule,
     power_rule,
     product_rule,
-    row_diff,
     rule_from_function,
     rule_from_values,
-    step_diff,
     table_rule,
     transpose_rule,
     zero_double_rule,

@@ -165,6 +165,8 @@ def _load_table(path: str):
                     raise UsageError("table-file", f"row {i + 1}: need j,k >= 1 and a value")
                 re = float(row[2])
                 im = float(row[3]) if len(row) > 3 and row[3].strip() else 0.0
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise UsageError("table-file", f"row {i + 1}: value is not finite")
                 entries.append((j, k, complex(re, im)))
     except OSError as exc:
         raise UsageError("table-file", str(exc)) from None

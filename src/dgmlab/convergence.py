@@ -538,11 +538,6 @@ def _row_abs_tails(c: DoubleSequenceRule, js: np.ndarray, n: int, horizon: int) 
     return out
 
 
-def _env_factor(kind: str, a: float, idx: np.ndarray) -> np.ndarray:
-    arr = np.asarray(idx, dtype=float)
-    return a**arr if kind == "geometric" else arr**-a
-
-
 def _weight_is_decreasing(kind: str, a: float, j: float) -> bool:
     """Is w(t) = t * ln(t) * f(t) nonincreasing for t >= j?"""
     if kind == "geometric":
@@ -570,7 +565,7 @@ def row_tail_sup(c: DoubleSequenceRule, m: int, n: int, horizon: int) -> TailEst
     env = c.tail
     if env is None:
         return TailEstimate(value, math.inf, False, int(js[i]))
-    fj = _env_factor(env.kind, env.a_j, js)
+    fj = env.f(js.astype(float))
     w_max = float(np.max(js * np.log(js) * fj))
     resid_inner = w_max * env.amp * env.g_tail(horizon + 1)
     if _weight_is_decreasing(env.kind, env.a_j, horizon + 1.0):
@@ -661,13 +656,19 @@ def log_integral_bound(n: int, N: int, p: float) -> tuple[float, float]:
     """Closed form of ``int_{n + N^(1/p)}^{n + N} dk / (k ln k)`` and its cap.
 
     Returns ``(value, ln p)``; the value never exceeds ``ln p`` for
-    ``n, N >= 1`` and ``p >= 1`` (degenerate equality at p = 1).
+    ``n, N >= 1`` and ``p >= 1`` (degenerate equality at p = 1).  Inputs
+    whose ``n + N^(1/p)`` overflows a float raise ``ValueError``.
     """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
     if not p >= 1:  # also refuses NaN
         raise ValueError("need p >= 1")
-    lower = n + N ** (1.0 / p)
+    try:
+        lower = n + N ** (1.0 / p)
+    except OverflowError:
+        lower = math.inf
+    if not math.isfinite(lower):
+        raise ValueError("n + N^(1/p) overflows a float")
     value = math.log(math.log(n + N)) - math.log(math.log(lower))
     bound = math.log(p)
     if value > bound + 1e-12:

@@ -25,7 +25,6 @@ from .membership import BoundFamily, BoundSpec, rhs_col_bound
 from .sequences import (
     DoubleSequenceRule,
     SequenceRule,
-    SingleTailEnvelope,
     TailEnvelope,
     product_rule,
 )
@@ -71,20 +70,20 @@ def single_values(ns, p: float) -> np.ndarray:
 
 def single_rule(p: float) -> SequenceRule:
     _validate_p(p)
-    # n * a_n is bounded by the n = 1 value, giving a crude 1/n envelope;
-    # it is not summable, so tail checks on this rule stay inconclusive.
-    amp = 3.0 / math.log(2.0)
     return SequenceRule(
-        eval=lambda n: complex(single_term(n, p)),
+        lambda ns: single_values(ns, p).astype(complex),
         label=f"proposition(p={p})",
-        array_eval=lambda ns: single_values(ns, p).astype(complex),
         real=True,
-        tail=SingleTailEnvelope(amp=amp, kind="polynomial", a=1.0),
     )
 
 
 def double_rule(p: float) -> DoubleSequenceRule:
-    """c_mn = a_m * a_n as a product rule."""
+    """c_mn = a_m * a_n as a product rule.
+
+    m * a_m is bounded by its m = 1 value, giving a crude 1/(mn) envelope.
+    It is not summable, so a decaying tail reading on this rule stays
+    inconclusive.
+    """
     s = single_rule(p)
     amp = (3.0 / math.log(2.0)) ** 2
     return product_rule(

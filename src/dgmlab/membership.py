@@ -410,13 +410,8 @@ def gm_membership_scan(seq: SequenceRule, p: float, r: int, spec: BoundSpec,
         raise ValueError("need p > 0 and r >= 1")
     # wrap the single sequence as a column-constant double rule so the
     # row-family window machinery applies unchanged
-    line = DoubleSequenceRule(
-        eval=lambda j, k: seq.eval(j),
-        label=seq.label,
-        array_eval=lambda js, ks: np.broadcast_to(
-            seq.values(js), np.broadcast_shapes(np.shape(js), np.shape(ks))).copy(),
-        real=seq.real,
-    )
+    line = DoubleSequenceRule(lambda js, ks: seq.values(js), label=seq.label,
+                              real=seq.real)
 
     def one(m: int) -> list[BlockEvidence]:
         lhs = block_p_norm(seq, m, p, r)
@@ -494,12 +489,8 @@ def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
 
     def line_rule(m: int, n: int, axis: str) -> SequenceRule:
         if axis == "row":
-            return SequenceRule(
-                eval=lambda j: c.eval(j, n),
-                array_eval=lambda js: c.values(js, n), real=c.real)
-        return SequenceRule(
-            eval=lambda k: c.eval(m, k),
-            array_eval=lambda ks: c.values(m, ks), real=c.real)
+            return SequenceRule(lambda js: c.values(js, n), real=c.real)
+        return SequenceRule(lambda ks: c.values(m, ks), real=c.real)
 
     violations = []
     checked = 0

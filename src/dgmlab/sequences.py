@@ -1,13 +1,15 @@
 """Single and double complex sequences as evaluation rules.
 
-A rule is a pure function of its integer index (index pair for double
-sequences).  Rules may carry structure hints -- a vectorized evaluator, a
-multiplicative factorization ``c[j,k] = u[j] * v[k]``, a bounded support
-box, a tail envelope -- that let the heavier scans pick fast exact paths.
-The hints never change semantics: every consumer falls back to plain
-pointwise evaluation when a hint is absent.
+A rule is one pure, vectorised function of its index array (a pair of
+broadcastable index arrays for double sequences); ``values`` calls it,
+and the scalar ``eval`` is derived from ``values``.  ``rule_from_function``
+wraps a scalar function of one index.  Double rules may carry structure
+hints -- a multiplicative factorization ``c[j,k] = u[j] * v[k]``, a
+bounded support box, a tail envelope -- that let the heavier scans pick
+fast exact paths.  The hints never change semantics: every consumer falls
+back to the generic array path when a hint is absent.
 
-This module also provides the step difference operators and the block
+This module also provides the array step differences and the block
 p-norms that the class scanners and convergence checks are built from.
 """
 
@@ -22,13 +24,6 @@ import numpy as np
 # Hard ceiling on any index horizon accepted by the lab; keeps desk runs
 # bounded regardless of configuration.
 HORIZON_LIMIT = 2**24
-
-
-def _check_horizon(value: int, name: str = "horizon") -> int:
-    value = int(value)
-    if value < 1 or value > HORIZON_LIMIT:
-        raise ValueError(f"{name} must be in [1, {HORIZON_LIMIT}], got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,9 @@ class TailEnvelope:
         if self.kind == "geometric" and not (0 < self.a_j < 1 and 0 < self.a_k < 1):
             raise ValueError("geometric envelope needs ratios in (0, 1)")
 
-    def f(self, j: float) -> float:
-        return self.a_j**j if self.kind == "geometric" else float(j) ** -self.a_j
-
-    def g(self, k: float) -> float:
-        return self.a_k**k if self.kind == "geometric" else float(k) ** -self.a_k
+    def f(self, j):
+        """``f`` at a float or a float array."""
+        return self.a_j**j if self.kind == "geometric" else j**-self.a_j
 
     def f_tail(self, start: int) -> float:
         """Upper bound on ``sum_{j >= start} f(j)``; may be ``inf``."""
@@ -77,57 +70,38 @@ def _factor_tail(kind: str, a: float, start: int) -> float:
 
 
 @dataclass(frozen=True)
-class SingleTailEnvelope:
-    """One-dimensional envelope ``|a_k| <= amp * f(k)`` (same kinds)."""
-
-    amp: float
-    kind: str
-    a: float
-
-    def f(self, k: float) -> float:
-        return self.a**k if self.kind == "geometric" else float(k) ** -self.a
-
-    def tail(self, start: int) -> float:
-        return self.amp * _factor_tail(self.kind, self.a, start)
-
-
-@dataclass(frozen=True)
 class SequenceRule:
     """Complex sequence ``{a_k}`` defined for ``k >= first_index``.
 
-    ``eval`` must be pure: repeated calls with the same index return the
-    same value.  ``array_eval``, when given, must agree with ``eval``
-    elementwise on integer arrays.
+    ``fn`` maps an integer index array to the values at those indices, in
+    the same shape; it must be pure.
     """
 
-    eval: Callable[[int], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     first_index: int = 1
-    array_eval: Callable[[np.ndarray], np.ndarray] | None = None
     real: bool = False
-    tail: SingleTailEnvelope | None = None
 
     def values(self, ks) -> np.ndarray:
         """Evaluate at every index of ``ks`` (any integer array shape)."""
-        ks = np.asarray(ks, dtype=np.int64)
-        if self.array_eval is not None:
-            return np.asarray(self.array_eval(ks), dtype=complex)
-        flat = np.array([self.eval(int(k)) for k in ks.ravel()], dtype=complex)
-        return flat.reshape(ks.shape)
+        return np.asarray(self.fn(np.asarray(ks, dtype=np.int64)), dtype=complex)
+
+    def eval(self, k: int) -> complex:
+        return complex(self.values([k])[0])
 
 
 @dataclass(frozen=True)
 class DoubleSequenceRule:
     """Complex double sequence ``{c_jk}``, total on ``j, k >= 1``.
 
-    ``factors = (u, v)`` declares ``c[j,k] = u[j] * v[k]`` exactly;
-    ``support = (J, K)`` declares ``c[j,k] = 0`` whenever ``j > J`` or
-    ``k > K``.
+    ``fn`` maps two broadcastable integer index arrays to the values at
+    those index pairs.  ``factors = (u, v)`` declares
+    ``c[j,k] = u[j] * v[k]`` exactly; ``support = (J, K)`` declares
+    ``c[j,k] = 0`` whenever ``j > J`` or ``k > K``.
     """
 
-    eval: Callable[[int, int], complex]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
-    array_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     factors: tuple[SequenceRule, SequenceRule] | None = None
     support: tuple[int, int] | None = None
     real: bool = False
@@ -137,45 +111,18 @@ class DoubleSequenceRule:
         """Elementwise evaluation on broadcastable integer index arrays."""
         js = np.asarray(js, dtype=np.int64)
         ks = np.asarray(ks, dtype=np.int64)
-        if self.array_eval is not None:
-            out = np.asarray(self.array_eval(js, ks), dtype=complex)
-            shape = np.broadcast_shapes(js.shape, ks.shape)
-            if out.shape != shape:
-                out = np.broadcast_to(out, shape).copy()
-            return out
-        jb, kb = np.broadcast_arrays(js, ks)
-        flat = np.array(
-            [self.eval(int(j), int(k)) for j, k in zip(jb.ravel(), kb.ravel())],
-            dtype=complex,
-        )
-        return flat.reshape(jb.shape)
+        out = np.asarray(self.fn(js, ks), dtype=complex)
+        shape = np.broadcast_shapes(js.shape, ks.shape)
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
+        return out
+
+    def eval(self, j: int, k: int) -> complex:
+        return complex(self.values([j], [k])[0])
 
 
 # ---------------------------------------------------------------------------
 # difference operators
-
-
-def step_diff(seq: SequenceRule, k: int, r: int) -> complex:
-    """Step-r forward difference ``a_k - a_{k+r}``."""
-    return seq.eval(k) - seq.eval(k + r)
-
-
-def row_diff(c: DoubleSequenceRule, j: int, k: int, r: int) -> complex:
-    """Difference along the row index: ``c[j,k] - c[j+r,k]``."""
-    return c.eval(j, k) - c.eval(j + r, k)
-
-
-def col_diff(c: DoubleSequenceRule, j: int, k: int, r: int) -> complex:
-    """Difference along the column index: ``c[j,k] - c[j,k+r]``."""
-    return c.eval(j, k) - c.eval(j, k + r)
-
-
-def mixed_diff(c: DoubleSequenceRule, j: int, k: int, r: int) -> complex:
-    """Mixed difference, the row difference of the column difference.
-
-    Equals ``c[j,k] - c[j+r,k] - c[j,k+r] + c[j+r,k+r]``.
-    """
-    return c.eval(j, k) - c.eval(j + r, k) - c.eval(j, k + r) + c.eval(j + r, k + r)
 
 
 def step_diff_values(seq: SequenceRule, ks, r: int) -> np.ndarray:
@@ -185,6 +132,7 @@ def step_diff_values(seq: SequenceRule, ks, r: int) -> np.ndarray:
 
 
 def row_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
+    """Difference along the row index: ``c[j,k] - c[j+r,k]``."""
     if c.factors is not None:
         u, v = c.factors
         return step_diff_values(u, js, r) * v.values(ks)
@@ -192,6 +140,7 @@ def row_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
 
 
 def col_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
+    """Difference along the column index: ``c[j,k] - c[j,k+r]``."""
     if c.factors is not None:
         u, v = c.factors
         return u.values(js) * step_diff_values(v, ks, r)
@@ -199,6 +148,8 @@ def col_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
 
 
 def mixed_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
+    """Mixed difference, the row difference of the column difference:
+    ``c[j,k] - c[j+r,k] - c[j,k+r] + c[j+r,k+r]``."""
     if c.factors is not None:
         u, v = c.factors
         return step_diff_values(u, js, r) * step_diff_values(v, ks, r)
@@ -267,40 +218,32 @@ def window_diff_p_norm(seq: SequenceRule, start: int, length: int, p: float, r: 
 
 def rule_from_function(fn: Callable[[int], complex], label: str = "",
                        first_index: int = 1) -> SequenceRule:
-    return SequenceRule(eval=fn, label=label, first_index=first_index)
+    """Sequence from a scalar function of one index, applied elementwise."""
+    return SequenceRule(np.vectorize(fn, otypes=[complex]), label=label,
+                        first_index=first_index)
 
 
-def rule_from_values(values, label: str = "", first_index: int = 1,
-                     tail: SingleTailEnvelope | None = None) -> SequenceRule:
+def rule_from_values(values, label: str = "", first_index: int = 1) -> SequenceRule:
     """Array-backed sequence; indices beyond the array evaluate to 0."""
     arr = np.asarray(values, dtype=complex)
 
-    def ev(k: int) -> complex:
-        i = k - first_index
-        return complex(arr[i]) if 0 <= i < arr.size else 0j
-
-    def aev(ks: np.ndarray) -> np.ndarray:
+    def fn(ks: np.ndarray) -> np.ndarray:
         idx = ks - first_index
         ok = (idx >= 0) & (idx < arr.size)
         out = np.zeros(ks.shape, dtype=complex)
         out[ok] = arr[idx[ok]]
         return out
 
-    return SequenceRule(eval=ev, label=label, first_index=first_index,
-                        array_eval=aev, real=bool(np.isrealobj(values)), tail=tail)
+    return SequenceRule(fn, label=label, first_index=first_index,
+                        real=bool(np.isrealobj(values)))
 
 
 def product_rule(u: SequenceRule, v: SequenceRule, label: str = "",
                  tail: TailEnvelope | None = None) -> DoubleSequenceRule:
     """Double rule ``c[j,k] = u[j] * v[k]``."""
-
-    def aev(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        return u.values(js) * v.values(ks)
-
     return DoubleSequenceRule(
-        eval=lambda j, k: u.eval(j) * v.eval(k),
+        lambda js, ks: u.values(js) * v.values(ks),
         label=label or f"{u.label}*{v.label}",
-        array_eval=aev,
         factors=(u, v),
         real=u.real and v.real,
         tail=tail,
@@ -309,14 +252,9 @@ def product_rule(u: SequenceRule, v: SequenceRule, label: str = "",
 
 def additive_rule(u: SequenceRule, v: SequenceRule, label: str = "") -> DoubleSequenceRule:
     """Double rule ``c[j,k] = u[j] + v[k]``; its mixed differences vanish."""
-
-    def aev(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        return u.values(js) + v.values(ks)
-
     return DoubleSequenceRule(
-        eval=lambda j, k: u.eval(j) + v.eval(k),
+        lambda js, ks: u.values(js) + v.values(ks),
         label=label or f"{u.label}+{v.label}",
-        array_eval=aev,
         real=u.real and v.real,
     )
 
@@ -328,11 +266,7 @@ def table_rule(table, label: str = "", first_index: int = 1) -> DoubleSequenceRu
         raise ValueError("table must be two-dimensional")
     rows, cols = arr.shape
 
-    def ev(j: int, k: int) -> complex:
-        a, b = j - first_index, k - first_index
-        return complex(arr[a, b]) if 0 <= a < rows and 0 <= b < cols else 0j
-
-    def aev(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    def fn(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
         jb, kb = np.broadcast_arrays(js - first_index, ks - first_index)
         ok = (jb >= 0) & (jb < rows) & (kb >= 0) & (kb < cols)
         out = np.zeros(jb.shape, dtype=complex)
@@ -340,43 +274,38 @@ def table_rule(table, label: str = "", first_index: int = 1) -> DoubleSequenceRu
         return out
 
     return DoubleSequenceRule(
-        eval=ev, label=label, array_eval=aev,
+        fn, label=label,
         support=(first_index + rows - 1, first_index + cols - 1),
         real=bool(np.isrealobj(table)),
     )
 
 
 def geometric_rule(ratio: float = 0.5) -> SequenceRule:
-    """``a_k = ratio**k`` with a geometric tail envelope."""
+    """``a_k = ratio**k``."""
     if not 0 < ratio < 1:
         raise ValueError("ratio must be in (0, 1)")
     return SequenceRule(
-        eval=lambda k: complex(ratio**k),
+        lambda ks: (float(ratio) ** ks).astype(complex),
         label=f"geometric({ratio})",
-        array_eval=lambda ks: (float(ratio) ** ks).astype(complex),
         real=True,
-        tail=SingleTailEnvelope(amp=1.0, kind="geometric", a=ratio),
     )
 
 
 def power_rule(exponent: float = 2.0) -> SequenceRule:
-    """``a_k = k**-exponent`` with a polynomial tail envelope."""
+    """``a_k = k**-exponent``."""
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     return SequenceRule(
-        eval=lambda k: complex(float(k) ** -exponent),
+        lambda ks: (ks.astype(float) ** -exponent).astype(complex),
         label=f"power({exponent})",
-        array_eval=lambda ks: (ks.astype(float) ** -exponent).astype(complex),
         real=True,
-        tail=SingleTailEnvelope(amp=1.0, kind="polynomial", a=exponent),
     )
 
 
 def constant_rule(value: complex = 0j) -> SequenceRule:
     return SequenceRule(
-        eval=lambda k: complex(value),
+        lambda ks: np.full(ks.shape, complex(value)),
         label=f"const({value})",
-        array_eval=lambda ks: np.full(ks.shape, complex(value)),
         real=(complex(value).imag == 0.0),
     )
 
@@ -407,10 +336,8 @@ def zero_double_rule() -> DoubleSequenceRule:
 def transpose_rule(c: DoubleSequenceRule) -> DoubleSequenceRule:
     """Rule with the roles of the two indices swapped."""
     return DoubleSequenceRule(
-        eval=lambda j, k: c.eval(k, j),
+        lambda js, ks: c.fn(ks, js),
         label=f"T({c.label})",
-        array_eval=(None if c.array_eval is None
-                    else lambda js, ks: c.array_eval(ks, js)),
         factors=(None if c.factors is None else (c.factors[1], c.factors[0])),
         support=(None if c.support is None else (c.support[1], c.support[0])),
         real=c.real,

@@ -168,6 +168,13 @@ class TestLogIntegralCommand:
     def test_nan_p_rejected(self, tmp_path):
         assert run(tmp_path, "log-integral", "--p", "nan") == 3
 
+    def test_float_overflow_rejected(self, tmp_path, capsys):
+        huge = str(10**400)
+        assert run(tmp_path, "log-integral", "--N", huge) == 3
+        assert run(tmp_path, "log-integral", "--n", huge, "--N", "3") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error:") == 2
+
 
 class TestCounterexampleCommand:
     def test_certify(self, tmp_path):
@@ -241,6 +248,17 @@ class TestTableInput:
         assert "exact=true" in capsys.readouterr().out
         _, rows = read_csv(tmp_path / "profile.csv")
         assert rows and all(float(r[1]) == 0.0 for r in rows)
+
+    def test_non_finite_values_rejected(self, tmp_path, capsys):
+        for value in ("nan", "inf", "0.25,-inf"):
+            path = tmp_path / "odd.csv"
+            path.write_text(f"1,1,0.5\n1,2,{value}\n2,1,0.25\n2,2,0.125\n")
+            for argv in (["converge", "--cap", "64", "--no-plot"],
+                         ["membership", "--blocks", "1x1"],
+                         ["decay", "--condition", "jk"]):
+                assert run(tmp_path, *argv, "--seq", "table",
+                           "--table-file", str(path)) == 3, (value, argv)
+                assert "row 2" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -353,6 +371,13 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_library_sketch_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -33,11 +34,9 @@ from dgmlab.sequences import (
     additive_rule,
     geometric_double_rule,
     geometric_rule,
-    mixed_diff,
     power_double_rule,
     power_rule,
     product_rule,
-    row_diff,
     rule_from_values,
     table_rule,
     zero_double_rule,
@@ -48,6 +47,17 @@ REL = 1e-12
 
 def rel_close(a, b, rel=REL):
     return abs(a - b) <= rel * (1 + max(abs(a), abs(b)))
+
+
+# pointwise oracles: the difference operators from scalar evaluations ``ev(j, k)``
+
+
+def row_diff(ev, j, k, r):
+    return ev(j, k) - ev(j + r, k)
+
+
+def mixed_diff(ev, j, k, r):
+    return ev(j, k) - ev(j + r, k) - ev(j, k + r) + ev(j + r, k + r)
 
 
 class TestGrid:
@@ -399,17 +409,18 @@ class TestDecayReports:
         assert classify_decay(rep) is DecayVerdict.NOT_DECAYING
 
     def test_loglog_unit_values(self):
-        c = DoubleSequenceRule(
-            eval=lambda m, n: 1.0 / (m * n * math.log(m) * math.log(n))
-            if min(m, n) >= 2 else 0.0,
+        c = DoubleSequenceRule(np.vectorize(
+            lambda m, n: 1.0 / (m * n * math.log(m) * math.log(n))
+            if min(m, n) >= 2 else 0.0, otypes=[complex]),
             real=True)
         rep = loglog_decay(c, [16, 256, 2048])
         assert all(rel_close(t, 1.0) for t in rep.max_tail)
         assert classify_decay(rep) is DecayVerdict.NOT_DECAYING
 
     def test_loglog_squared_logs_decay(self):
-        c = DoubleSequenceRule(
-            eval=lambda m, n: 1.0 / (m * n * math.log(m + 1) ** 2 * math.log(n + 1) ** 2),
+        c = DoubleSequenceRule(np.vectorize(
+            lambda m, n: 1.0 / (m * n * math.log(m + 1) ** 2 * math.log(n + 1) ** 2),
+            otypes=[complex]),
             real=True)
         rep = loglog_decay(c, [16, 256, 4096], horizon=1 << 13)
         assert classify_decay(rep) is DecayVerdict.DECAYING
@@ -484,6 +495,41 @@ class TestTailSups:
             row_tail_sup(zero_double_rule(), 1, 1, 64)
 
 
+class TestProductTailPaths:
+    """The factorised tail scans against the same rule without its hint."""
+
+    @staticmethod
+    def pair(imag):
+        rng = np.random.default_rng(15)
+        u = rule_from_values(rng.normal(size=50) + imag * 1j * rng.normal(size=50))
+        v = rule_from_values(rng.normal(size=50) + imag * 1j * rng.normal(size=50))
+        fast = product_rule(u, v)
+        return fast, dataclasses.replace(fast, factors=None)
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_row_tail_sup(self, imag):
+        fast, slow = self.pair(imag)
+        for m, n, horizon in [(2, 1, 60), (5, 9, 40), (12, 3, 300)]:
+            a = row_tail_sup(fast, m, n, horizon)
+            b = row_tail_sup(slow, m, n, horizon)
+            assert rel_close(a.value, b.value)
+            assert a.maximizer == b.maximizer and a.residual == b.residual
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_mixed_diff_tail(self, imag):
+        fast, slow = self.pair(imag)
+        for p, r, m, n, horizon in [(1.0, 1, 1, 1, 60), (2.0, 3, 4, 7, 80), (1.5, 2, 9, 2, 300)]:
+            assert rel_close(mixed_diff_tail(fast, p, r, m, n, horizon),
+                             mixed_diff_tail(slow, p, r, m, n, horizon))
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_row_diff_tail_sup(self, imag):
+        fast, slow = self.pair(imag)
+        for p, r, m, n, horizon in [(1.0, 1, 1, 1, 60), (2.0, 3, 4, 7, 80), (1.5, 2, 9, 2, 300)]:
+            assert rel_close(row_diff_tail_sup(fast, p, r, m, n, horizon),
+                             row_diff_tail_sup(slow, p, r, m, n, horizon))
+
+
 class TestDiffTails:
     def test_mixed_zero_for_additive(self):
         c = additive_rule(geometric_rule(0.5), geometric_rule(0.5))
@@ -492,15 +538,17 @@ class TestDiffTails:
     def test_mixed_matches_loop_oracle(self):
         c = geometric_double_rule(0.5)
         got = mixed_diff_tail(c, 2.0, 1, 8, 8, 300)
-        want = (8 * 8) ** 0.5 * sum(abs(mixed_diff(c, j, k, 1))
+        ev = functools.cache(c.eval)
+        want = (8 * 8) ** 0.5 * sum(abs(mixed_diff(ev, j, k, 1))
                                     for j in range(8, 301) for k in range(8, 301))
         assert rel_close(got, want)
 
     def test_row_diff_matches_loop_oracle(self):
         c = geometric_double_rule(0.5)
         got = row_diff_tail_sup(c, 2.0, 1, 4, 4, 200)
+        ev = functools.cache(c.eval)
         want = 4 ** 0.5 * max(
-            k * sum(abs(row_diff(c, j, k, 1)) for j in range(4, 201))
+            k * sum(abs(row_diff(ev, j, k, 1)) for j in range(4, 201))
             for k in range(4, 201))
         assert rel_close(got, want)
 
@@ -547,3 +595,8 @@ class TestLogIntegral:
             log_integral_bound(1, 1, 0.5)
         with pytest.raises(ValueError):
             log_integral_bound(1, 1, math.nan)
+
+    def test_float_overflow_is_a_value_error(self):
+        for n, N, p in ((1, 10**400, 2.0), (10**400, 3, 2.0), (10**308, 10**308, 1.0)):
+            with pytest.raises(ValueError, match="overflows"):
+                log_integral_bound(n, N, p)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,19 @@ class TestMixedBound:
             b = rhs_mixed_bound(slow, m, n, spec)
             assert close(a.value, b.value)
             assert a.maximizer == b.maximizer
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_product_mean_value_matches_generic(self, imag):
+        """Factorised mean-value window against the same rule without its hint."""
+        rng = np.random.default_rng(14)
+        u = rule_from_values(rng.normal(size=40) + imag * 1j * rng.normal(size=40))
+        v = rule_from_values(rng.normal(size=40) + imag * 1j * rng.normal(size=40))
+        fast = product_rule(u, v)
+        slow = dataclasses.replace(fast, factors=None)
+        for m, n, lam in [(2, 2, 2), (3, 7, 2), (8, 5, 3), (16, 16, 2)]:
+            a = rhs_mixed_bound(fast, m, n, mean_value(lam))
+            b = rhs_mixed_bound(slow, m, n, mean_value(lam))
+            assert close(a.value, b.value)
 
     def test_frontier_respects_anchor(self):
         c = geometric_double_rule(0.5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,21 +7,20 @@ from hypothesis import strategies as st
 
 from dgmlab.sequences import (
     DoubleSequenceRule,
-    SequenceRule,
     additive_rule,
     block_p_norm,
-    col_diff,
+    col_diff_values,
     constant_rule,
     double_block_p_norm,
     geometric_double_rule,
     geometric_rule,
-    mixed_diff,
+    mixed_diff_values,
     power_rule,
     product_rule,
-    row_diff,
+    row_diff_values,
     rule_from_function,
     rule_from_values,
-    step_diff,
+    step_diff_values,
     table_rule,
     transpose_rule,
     window_diff_p_norm,
@@ -33,44 +34,63 @@ def close(a, b):
     return abs(a - b) <= max(ABS, REL * max(abs(a), abs(b)))
 
 
+# pointwise oracles: the difference operators from scalar evaluations
+
+
+def step_diff(seq, k, r):
+    return seq.eval(k) - seq.eval(k + r)
+
+
+def row_diff(c, j, k, r):
+    return c.eval(j, k) - c.eval(j + r, k)
+
+
+def col_diff(c, j, k, r):
+    return c.eval(j, k) - c.eval(j, k + r)
+
+
+def mixed_diff(c, j, k, r):
+    return c.eval(j, k) - c.eval(j + r, k) - c.eval(j, k + r) + c.eval(j + r, k + r)
+
+
 def test_step_diff_linear_rule():
     seq = rule_from_function(lambda k: complex(k))
-    assert step_diff(seq, 1, 2) == -2
+    assert step_diff_values(seq, 1, 2) == -2
 
 
 def test_step_diff_annihilates_constants():
     seq = constant_rule(5.0)
     for k, r in [(1, 1), (3, 4), (10, 7)]:
-        assert step_diff(seq, k, r) == 0
+        assert step_diff_values(seq, k, r) == 0
 
 
 def test_step_diff_harmonic_direct_evaluation():
     seq = rule_from_function(lambda k: 1.0 / k)
     # oracle: direct evaluation of both entries
-    assert close(step_diff(seq, 3, 3), 1.0 / 3.0 - 1.0 / 6.0)
+    assert close(step_diff_values(seq, 3, 3), 1.0 / 3.0 - 1.0 / 6.0)
 
 
 def test_mixed_diff_additively_separable_vanishes():
     c = additive_rule(rule_from_function(lambda j: complex(j)),
                       rule_from_function(lambda k: complex(k)))
     for j, k in [(1, 1), (2, 5), (7, 3)]:
-        assert mixed_diff(c, j, k, 1) == 0
+        assert mixed_diff_values(c, j, k, 1) == 0
 
 
 def test_mixed_diff_product_expansion():
     c = product_rule(rule_from_function(lambda j: complex(j)),
                      rule_from_function(lambda k: complex(k)))
     # 1*1 - 3*1 - 1*3 + 3*3
-    assert mixed_diff(c, 1, 1, 2) == 4
+    assert mixed_diff_values(c, 1, 1, 2) == 4
 
 
 def test_mixed_diff_is_row_diff_of_col_diff():
     rng = np.random.default_rng(11)
     c = table_rule(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     for j, k, r in [(1, 1, 1), (2, 3, 2), (4, 4, 3), (1, 5, 2)]:
-        # composition oracle: column-difference first, then row-difference
-        inner = SequenceRule(eval=lambda jj, k=k, r=r: col_diff(c, jj, k, r))
-        assert close(mixed_diff(c, j, k, r), step_diff(inner, j, r))
+        # composition: column-difference first, then row-difference
+        inner = col_diff_values(c, j, k, r) - col_diff_values(c, j + r, k, r)
+        assert close(mixed_diff_values(c, j, k, r), inner)
 
 
 def test_mixed_diff_transpose_symmetry():
@@ -78,7 +98,7 @@ def test_mixed_diff_transpose_symmetry():
     c = table_rule(rng.normal(size=(9, 7)))
     ct = transpose_rule(c)
     for j, k, r in [(1, 2, 1), (3, 1, 2), (2, 2, 3)]:
-        assert close(mixed_diff(c, j, k, r), mixed_diff(ct, k, j, r))
+        assert close(mixed_diff_values(c, j, k, r), mixed_diff_values(ct, k, j, r))
 
 
 @settings(max_examples=50, deadline=None)
@@ -92,8 +112,8 @@ def test_step_diff_telescopes_over_divisors(k, r1, q, seed):
     r2 = q * r1
     if r2 == 0:
         return
-    total = sum(step_diff(seq, k + i * r1, r1) for i in range(q))
-    assert close(step_diff(seq, k, r2), total)
+    total = sum(step_diff_values(seq, k + i * r1, r1) for i in range(q))
+    assert close(step_diff_values(seq, k, r2), total)
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,7 +125,7 @@ def test_diff_operators_are_linear(seed, alpha, beta):
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     ca, cb = table_rule(a), table_rule(b)
     combo = table_rule(alpha * a + beta * b)
-    for op in (row_diff, col_diff, mixed_diff):
+    for op in (row_diff_values, col_diff_values, mixed_diff_values):
         got = op(combo, 2, 2, 2)
         want = alpha * op(ca, 2, 2, 2) + beta * op(cb, 2, 2, 2)
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
@@ -164,10 +184,26 @@ def test_double_block_p_norm_product_path_matches_generic():
     u = rule_from_values(np.random.default_rng(3).normal(size=24))
     v = rule_from_values(np.random.default_rng(4).normal(size=24))
     fast = product_rule(u, v)
-    slow = DoubleSequenceRule(eval=lambda j, k: u.eval(j) * v.eval(k))
+    slow = DoubleSequenceRule(np.vectorize(lambda j, k: u.eval(j) * v.eval(k),
+                                           otypes=[complex]))
     for m, n, p, r in [(2, 3, 1.0, 1), (4, 4, 2.0, 3), (1, 5, 0.7, 2)]:
         assert close(double_block_p_norm(fast, m, n, p, r),
                      double_block_p_norm(slow, m, n, p, r))
+
+
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+def test_product_difference_paths_match_generic(imag):
+    """The factorised differences against the same rule without its hint."""
+    rng = np.random.default_rng(13)
+    u = rule_from_values(rng.normal(size=30) + imag * 1j * rng.normal(size=30))
+    v = rule_from_values(rng.normal(size=30) + imag * 1j * rng.normal(size=30))
+    fast = product_rule(u, v)
+    slow = dataclasses.replace(fast, factors=None)
+    js, ks = np.arange(1, 26)[:, None], np.arange(1, 24)[None, :]
+    for op in (row_diff_values, col_diff_values, mixed_diff_values):
+        for r in (1, 2, 5):
+            assert np.allclose(op(fast, js, ks, r), op(slow, js, ks, r),
+                               rtol=REL, atol=REL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,14 +242,42 @@ def test_table_rule_support_box():
 
 
 def test_values_fallback_matches_pointwise():
-    c = DoubleSequenceRule(eval=lambda j, k: complex(j * 10 + k))
+    c = DoubleSequenceRule(np.vectorize(lambda j, k: complex(j * 10 + k), otypes=[complex]))
     js = np.array([1, 2, 3])
     got = c.values(js[:, None], np.array([[1, 2]]))
     assert got.shape == (3, 2)
     assert got[2, 1] == 32
+    assert c.eval(3, 2) == 32
 
 
 def test_geometric_rule_envelope_tail():
-    g = geometric_rule(0.5)
-    # sum_{k>=4} 2^-k = 2^-3
-    assert close(g.tail.tail(4), 0.125)
+    env = geometric_double_rule(0.5).tail
+    # sum_{j>=4} 2^-j = 2^-3
+    assert close(env.f_tail(4), 0.125)
+    assert close(env.g_tail(4), 0.125)
+
+
+def test_transpose_rule_swaps_indices():
+    rng = np.random.default_rng(6)
+    arr = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    ct = transpose_rule(table_rule(arr))
+    assert ct.support == (3, 5)
+    got = ct.values(np.arange(1, 5)[:, None], np.arange(1, 7)[None, :])
+    assert np.array_equal(got, table_rule(arr.T).values(np.arange(1, 5)[:, None],
+                                                         np.arange(1, 7)[None, :]))
+
+
+def test_array_differences_match_pointwise_oracles():
+    rng = np.random.default_rng(12)
+    c = table_rule(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    seq = rule_from_values(rng.normal(size=12))
+    js, ks = np.arange(1, 8)[:, None], np.arange(1, 9)[None, :]
+    for r in (1, 2, 3):
+        for vec, op in ((row_diff_values, row_diff), (col_diff_values, col_diff),
+                        (mixed_diff_values, mixed_diff)):
+            got = vec(c, js, ks, r)
+            want = [[op(c, j, k, r) for k in range(1, 9)] for j in range(1, 8)]
+            assert np.allclose(got, want, rtol=REL, atol=ABS)
+        got = step_diff_values(seq, np.arange(1, 12), r)
+        assert np.allclose(got, [step_diff(seq, k, r) for k in range(1, 12)],
+                           rtol=REL, atol=ABS)
