@@ -1,13 +1,14 @@
 """Configuration-driven experiment runner.
 
-Every lab operation is reachable through a subcommand; each run writes a
-CSV table (and optionally a static SVG plot), prints a one-line verdict,
-and exits with a machine-readable status:
+Every lab operation is reachable through a subcommand.  Its handler only
+computes; ``main`` writes the CSV tables (and SVG plots, unless
+``--no-plot``) into ``--out``, prints a one-line verdict, and exits with a
+machine-readable status:
 
     0  consistent / converging / decaying / verified / no violations
     1  violated / not converging / not decaying / unverified
     2  inconclusive
-    3  usage or configuration error
+    3  usage or configuration error, or an --out that cannot be written
 
 Options resolve in three layers: the default declared on the subcommand's
 parser, then a flat ``key = value`` config file (``--config``), then
@@ -20,15 +21,19 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import counterexample as cex
 from .convergence import (
     ConvergenceVerdict,
+    DecaySample,
     DecayVerdict,
     GridSpec,
+    ProfileEntry,
     classify_decay,
     col_diff_tail_sup,
     col_tail_sup,
@@ -42,10 +47,12 @@ from .convergence import (
     row_tail_sup,
     tail_decay_report,
 )
-from .kernels import direct_sine_sum, kernel_bound_sweep, sbp_decompose
+from .kernels import HalfBandSweep, direct_sine_sum, kernel_bound_sweep, sbp_decompose
 from .membership import (
+    BlockEvidence,
     BoundFamily,
     BoundSpec,
+    EmbeddingViolation,
     Verdict,
     divisor_embedding_check,
     embedding_check,
@@ -241,10 +248,20 @@ def _blocks(args: argparse.Namespace) -> list[tuple[int, int]]:
     return [(2**t, 2**t) for t in args.octaves]
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Run(NamedTuple):
+    """A handler's verdict line and exit code, its CSV tables (name ->
+    ``(header, rows)``) and its SVG plots (name -> ``(series, title, log_y)``)."""
+
+    line: str
+    code: int
+    tables: dict
+    plots: dict = {}
+
+
+def _records(cls, items) -> tuple[list[str], list[list]]:
+    """A table of dataclass records: the field names, then one row per record."""
+    names = [f.name for f in fields(cls)]
+    return names, [[getattr(e, k) for k in names] for e in items]
 
 
 def _verdict_exit(verdict) -> int:
@@ -257,33 +274,28 @@ def _verdict_exit(verdict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns a _Run and writes nothing
 
 
-def _run_membership(args: argparse.Namespace) -> int:
+def _run_membership(args: argparse.Namespace) -> _Run:
     p = _positive("p", args.p)
     r = _step("r", args.r)
     spec = _bound_spec(args)
-    out = _outdir(args)
     if args.single:
         seq = _single_rule(args)
         blocks1 = sorted({m for m, _ in _blocks(args)})
         report = gm_membership_scan(seq, p, r, spec, blocks1)
     else:
         report = membership_scan(_double_rule(args), p, r, spec, _blocks(args))
-    write_csv(out / "membership.csv",
-              ["m", "n", "axis", "lhs", "rhs", "ratio", "truncated"],
-              [(e.m, e.n, e.axis, e.lhs, e.rhs, e.ratio, e.truncated)
-               for e in report.per_block])
-    print(f"membership: {report.verdict.value} c_estimate={report.c_estimate:.6g} "
-          f"growth_fit={report.growth_fit:.4g}")
-    return _verdict_exit(report.verdict)
+    return _Run(f"membership: {report.verdict.value} c_estimate={report.c_estimate:.6g} "
+                f"growth_fit={report.growth_fit:.4g}",
+                _verdict_exit(report.verdict),
+                {"membership.csv": _records(BlockEvidence, report.per_block)})
 
 
-def _run_embedding(args: argparse.Namespace) -> int:
+def _run_embedding(args: argparse.Namespace) -> _Run:
     c = _double_rule(args)
     blocks = _blocks(args)
-    out = _outdir(args)
     p1, p2, r1, r2 = args.p1, args.p2, args.r1, args.r2
     if p1 is not None and p2 is not None:
         r = _step("r", args.r)
@@ -301,15 +313,13 @@ def _run_embedding(args: argparse.Namespace) -> int:
         kind = f"step r1={r1} r2={r2}"
     else:
         raise UsageError("p1", "give either --p1/--p2 or --r1/--r2")
-    write_csv(out / "embedding.csv",
-              ["m", "n", "axis", "lhs", "bound"],
-              [(v.m, v.n, v.axis, v.lhs, v.bound) for v in report.violations])
-    print(f"embedding ({kind}): {'ok' if report.ok else 'violated'} "
-          f"checked={report.checked} violations={len(report.violations)}")
-    return EXIT_PASS if report.ok else EXIT_FAIL
+    return _Run(f"embedding ({kind}): {'ok' if report.ok else 'violated'} "
+                f"checked={report.checked} violations={len(report.violations)}",
+                EXIT_PASS if report.ok else EXIT_FAIL,
+                {"embedding.csv": _records(EmbeddingViolation, report.violations)})
 
 
-def _run_sbp(args: argparse.Namespace) -> int:
+def _run_sbp(args: argparse.Namespace) -> _Run:
     seq = _single_rule(args)
     n = _step("start", args.start)
     m = _step("end", args.end)
@@ -320,40 +330,34 @@ def _run_sbp(args: argparse.Namespace) -> int:
     dec = sbp_decompose(seq, n, m, r, x)
     direct = direct_sine_sum(seq, n, m, x)
     err = abs(dec.total - direct) / (1.0 + abs(direct))
-    out = _outdir(args)
-    write_csv(out / "sbp.csv",
-              ["component", "re", "im"],
-              [("main_term", dec.main_term.real, dec.main_term.imag),
-               ("upper_boundary", dec.upper_boundary.real, dec.upper_boundary.imag),
-               ("lower_boundary", dec.lower_boundary.real, dec.lower_boundary.imag),
-               ("total", dec.total.real, dec.total.imag),
-               ("direct_sum", direct.real, direct.imag),
-               ("relative_error", err, 0.0)])
     ok = err <= 1e-12
-    print(f"sbp: {'exact' if ok else 'MISMATCH'} relative_error={err:.3e}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    rows = [("main_term", dec.main_term.real, dec.main_term.imag),
+            ("upper_boundary", dec.upper_boundary.real, dec.upper_boundary.imag),
+            ("lower_boundary", dec.lower_boundary.real, dec.lower_boundary.imag),
+            ("total", dec.total.real, dec.total.imag),
+            ("direct_sum", direct.real, direct.imag),
+            ("relative_error", err, 0.0)]
+    return _Run(f"sbp: {'exact' if ok else 'MISMATCH'} relative_error={err:.3e}",
+                EXIT_PASS if ok else EXIT_FAIL,
+                {"sbp.csv": (["component", "re", "im"], rows)})
 
 
-def _run_kernel_bound(args: argparse.Namespace) -> int:
+def _run_kernel_bound(args: argparse.Namespace) -> _Run:
     r = _step("r", args.r)
     points = _step("points", args.points)
     k_max = args.k_max
     if k_max < 0:
         raise UsageError("k-max", "must be >= 0")
     sweeps = kernel_bound_sweep(r, points, k_max)
-    out = _outdir(args)
-    write_csv(out / "kernel_bound.csv",
-              ["band", "half", "points", "k_max", "max_ratio", "violations"],
-              [(s.band, s.half, s.points, s.k_max, s.max_ratio, s.violations)
-               for s in sweeps])
     bad = sum(s.violations for s in sweeps)
     worst = max(s.max_ratio for s in sweeps)
-    print(f"kernel-bound: {'ok' if bad == 0 else 'violated'} "
-          f"max_ratio={worst:.6f} violations={bad}")
-    return EXIT_PASS if bad == 0 else EXIT_FAIL
+    return _Run(f"kernel-bound: {'ok' if bad == 0 else 'violated'} "
+                f"max_ratio={worst:.6f} violations={bad}",
+                EXIT_PASS if bad == 0 else EXIT_FAIL,
+                {"kernel_bound.csv": _records(HalfBandSweep, sweeps)})
 
 
-def _run_converge(args: argparse.Namespace) -> int:
+def _run_converge(args: argparse.Namespace) -> _Run:
     c = _double_rule(args)
     thresholds = args.thresholds
     cap = _cap("cap", args.cap)
@@ -374,25 +378,21 @@ def _run_converge(args: argparse.Namespace) -> int:
             raise UsageError("grid-r", str(exc)) from None
         profile = regular_remainder_sup(c, grid, thresholds, caps)
         where = f"grid r={gr} ({profile.grid_size} points)"
-    out = _outdir(args)
-    write_csv(out / "profile.csv",
-              ["threshold", "sup", "m", "n", "x", "y"],
-              [(e.threshold, e.sup, e.m, e.n, e.x, e.y) for e in profile.entries])
-    if not args.no_plot and profile.entries:
-        write_polyline_svg(out / "profile.svg",
-                           [("sup", [e.threshold for e in profile.entries],
-                             [max(e.sup, 1e-300) for e in profile.entries])],
-                           title=f"remainder sup vs threshold [{c.label}]", log_y=True)
-    print(f"converge: {profile.verdict.value} at {where} "
-          f"exact={str(profile.exact).lower()} caps={profile.caps}")
-    return _verdict_exit(profile.verdict)
+    entries = profile.entries
+    plot = ([("sup", [e.threshold for e in entries], [max(e.sup, 1e-300) for e in entries])],
+            f"remainder sup vs threshold [{c.label}]", True)
+    return _Run(f"converge: {profile.verdict.value} at {where} "
+                f"exact={str(profile.exact).lower()} caps={profile.caps}",
+                _verdict_exit(profile.verdict),
+                {"profile.csv": _records(ProfileEntry, entries)},
+                {"profile.svg": plot} if entries else {})
 
 
 _TAIL_CONDITIONS = ("row-tail", "col-tail", "mixed-diff-tail",
                     "row-diff-tail", "col-diff-tail")
 
 
-def _run_decay(args: argparse.Namespace) -> int:
+def _run_decay(args: argparse.Namespace) -> _Run:
     c = _double_rule(args)
     condition = args.condition
     thresholds = args.thresholds
@@ -420,69 +420,59 @@ def _run_decay(args: argparse.Namespace) -> int:
 
         report = tail_decay_report(fn, thresholds, horizon)
     verdict = classify_decay(report)
-    out = _outdir(args)
-    write_csv(out / "decay.csv", ["m", "n", "value"],
-              [(s.m, s.n, s.value) for s in report.samples])
-    if not args.no_plot:
-        write_polyline_svg(out / "decay.svg",
-                           [("max_tail", report.thresholds,
-                             [max(t, 1e-300) for t in report.max_tail])],
-                           title=f"{condition} tail vs threshold [{c.label}]", log_y=True)
     tails = " ".join(f"{t:.4g}" for t in report.max_tail)
-    print(f"decay ({condition}): {verdict.value} max_tail=[{tails}] "
-          f"trend_fit={report.trend_fit:.4g}")
-    return _verdict_exit(verdict)
+    return _Run(f"decay ({condition}): {verdict.value} max_tail=[{tails}] "
+                f"trend_fit={report.trend_fit:.4g}",
+                _verdict_exit(verdict),
+                {"decay.csv": _records(DecaySample, report.samples)},
+                {"decay.svg": ([("max_tail", report.thresholds,
+                                 [max(t, 1e-300) for t in report.max_tail])],
+                               f"{condition} tail vs threshold [{c.label}]", True)})
 
 
-def _run_log_integral(args: argparse.Namespace) -> int:
+def _run_log_integral(args: argparse.Namespace) -> _Run:
     n = _step("n", args.n)
     N = _step("N", args.N)
     p = args.p
     if not p >= 1:  # also refuses NaN
         raise UsageError("p", "need p >= 1")
     value, bound = log_integral_bound(n, N, p)
-    out = _outdir(args)
-    write_csv(out / "log_integral.csv", ["n", "N", "p", "value", "bound"],
-              [(n, N, p, value, bound)])
-    print(f"log-integral: ok value={value:.12g} bound={bound:.12g}")
-    return EXIT_PASS
+    return _Run(f"log-integral: ok value={value:.12g} bound={bound:.12g}", EXIT_PASS,
+                {"log_integral.csv": (["n", "N", "p", "value", "bound"],
+                                      [(n, N, p, value, bound)])})
 
 
-def _run_counterexample(args: argparse.Namespace) -> int:
-    out = _outdir(args)
+def _run_counterexample(args: argparse.Namespace) -> _Run:
     p = _seq_p(args)
     if args.action == "certify":
         n_max = args.n_max
         if n_max < 0 or 6 * n_max + 5 > HORIZON_LIMIT:
             raise UsageError("n-max", "out of range")
         cert = cex.divergence_certificate(n_max, p)
-        write_csv(out / "certificate.csv",
-                  ["N", "partial_sum", "lower_bound", "margin"],
-                  zip(cert.n_values.tolist(), cert.partial_sums.tolist(),
-                      cert.lower_bounds.tolist(),
-                      (cert.partial_sums - cert.lower_bounds).tolist()))
-        if not args.no_plot:
-            stride = max(1, len(cert) // 512)
-            write_polyline_svg(
-                out / "certificate.svg",
-                [("partial_sum", cert.n_values[::stride], cert.partial_sums[::stride]),
-                 ("lower_bound", cert.n_values[::stride], cert.lower_bounds[::stride])],
-                title=f"divergence certificate (p={p:g})")
-        print(f"counterexample certify: {'verified' if cert.verified else 'FAILED'} "
-              f"rows={len(cert)} final_margin={cert.partial_sums[-1] - cert.lower_bounds[-1]:.6g}")
-        return EXIT_PASS if cert.verified else EXIT_FAIL
+        rows = zip(cert.n_values.tolist(), cert.partial_sums.tolist(),
+                   cert.lower_bounds.tolist(),
+                   (cert.partial_sums - cert.lower_bounds).tolist())
+        thin = slice(None, None, max(1, len(cert) // 512))
+        series = [("partial_sum", cert.n_values[thin], cert.partial_sums[thin]),
+                  ("lower_bound", cert.n_values[thin], cert.lower_bounds[thin])]
+        return _Run(f"counterexample certify: {'verified' if cert.verified else 'FAILED'} "
+                    f"rows={len(cert)} "
+                    f"final_margin={cert.partial_sums[-1] - cert.lower_bounds[-1]:.6g}",
+                    EXIT_PASS if cert.verified else EXIT_FAIL,
+                    {"certificate.csv": (["N", "partial_sum", "lower_bound", "margin"], rows)},
+                    {"certificate.svg": (series, f"divergence certificate (p={p:g})", False)})
     m = _step("fixed-m", args.fixed_m)
     q = _positive("norm-exponent", args.norm_exponent)
     ns = [2**t for t in args.octaves]
     ratios = [cex.violation_ratio(m, n, p, norm_exponent=q, restricted=args.restricted)
               for n in ns]
-    write_csv(out / "ratio.csv", ["n", "ratio"], zip(ns, ratios))
     slope = float(np.polyfit(np.log2(ns), np.log2(ratios), 1)[0]) \
         if len(ns) >= 2 and all(v > 0 for v in ratios) else math.nan
     growing = not math.isnan(slope) and slope > 0.05
-    print(f"counterexample ratio: {'growing' if growing else 'bounded'} "
-          f"slope={slope:.4g} norm_exponent={q:g}")
-    return EXIT_FAIL if growing else EXIT_PASS
+    return _Run(f"counterexample ratio: {'growing' if growing else 'bounded'} "
+                f"slope={slope:.4g} norm_exponent={q:g}",
+                EXIT_FAIL if growing else EXIT_PASS,
+                {"ratio.csv": (["n", "ratio"], zip(ns, ratios))})
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +652,25 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run a subcommand; only if it succeeds, write its evidence and print its verdict."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return args.handler(args)
+        run = args.handler(args)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, (header, rows) in run.tables.items():
+                write_csv(out / name, header, rows)
+            if not args.no_plot:
+                for name, (series, title, log_y) in run.plots.items():
+                    write_polyline_svg(out / name, series, title=title, log_y=log_y)
+        except OSError as exc:
+            raise UsageError("out", str(exc)) from None
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(run.line)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -61,19 +61,18 @@ class DecayVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Abscissa grid on (0, upper] avoiding the singular points 2*l*pi/r."""
+    """Abscissa grid on (0, pi] avoiding the singular points 2*l*pi/r."""
 
     r: int
     points_per_band: int = 3
     exclusion_radius: float = 1e-6
-    upper: float = math.pi
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("grid step r must be >= 1")
         if self.points_per_band < 1:
             raise ValueError("points_per_band must be >= 1")
-        if not 0 < self.exclusion_radius < self.upper / (4 * self.r):
+        if not 0 < self.exclusion_radius < math.pi / (4 * self.r):
             raise ValueError("exclusion_radius out of range")
 
 
@@ -82,10 +81,10 @@ def grid_points(spec: GridSpec) -> np.ndarray:
     points one exclusion radius inside each singular band edge."""
     singular = []
     l = 0
-    while 2 * l * math.pi / spec.r <= spec.upper + 1e-12:
+    while 2 * l * math.pi / spec.r <= math.pi + 1e-12:
         singular.append(2 * l * math.pi / spec.r)
         l += 1
-    bounds = sorted(set(singular) | {0.0, spec.upper})
+    bounds = sorted(set(singular) | {0.0, math.pi})
     pts: list[float] = []
     for lo, hi in zip(bounds, bounds[1:]):
         width = hi - lo
@@ -99,7 +98,7 @@ def grid_points(spec: GridSpec) -> np.ndarray:
             pts.append(hi - spec.exclusion_radius)
     ok = [
         x for x in pts
-        if 0.0 < x <= spec.upper
+        if 0.0 < x <= math.pi
         and all(abs(x - s) >= spec.exclusion_radius * (1 - 1e-12) for s in singular)
     ]
     return np.unique(np.asarray(ok, dtype=float))
@@ -309,15 +308,11 @@ def _point_sups(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
     sups are exact.  The rule is evaluated once for all the points."""
     if c.factors is not None and c.real:
         return _point_sups_product(c, points, thresholds, caps), True
-    if c.support is not None:
-        eff = (min(caps[0], c.support[0]), min(caps[1], c.support[1]))
-        if c.real and max(eff) <= EXACT_GENERAL_CAP:
-            sups = _point_sups_general(c, points, thresholds, eff)
-            # rows/columns beyond the support contribute nothing
-            return sups, True
-        return _point_sups_sampled(c, points, thresholds, caps), False
-    if c.real and max(caps) <= EXACT_GENERAL_CAP:
-        return _point_sups_general(c, points, thresholds, caps), True
+    # rows/columns beyond a support contribute nothing to the exact scan
+    eff = caps if c.support is None else (min(caps[0], c.support[0]),
+                                          min(caps[1], c.support[1]))
+    if c.real and max(eff) <= EXACT_GENERAL_CAP:
+        return _point_sups_general(c, points, thresholds, eff), True
     return _point_sups_sampled(c, points, thresholds, caps), False
 
 
@@ -633,11 +628,9 @@ def col_diff_tail_sup(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
 
 
 def tail_decay_report(fn: Callable[[int, int], tuple[float, bool]],
-                      thresholds: Sequence[int], horizon: int,
-                      min_index: int = 2) -> DecayReport:
-    """Sample a tail quantity over the frontier anchors and report it."""
-    anchors = [a for a in frontier_samples(horizon, min_index)
-               if max(a) <= horizon]
+                      thresholds: Sequence[int], horizon: int) -> DecayReport:
+    """Sample a tail quantity over the frontier anchors from index 2 and report it."""
+    anchors = frontier_samples(horizon, min_index=2)
     ts = _decay_thresholds(anchors, thresholds)
     vals = []
     conclusive = True

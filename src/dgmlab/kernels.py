@@ -240,20 +240,19 @@ class HalfBandSweep:
     violations: int
 
 
-def half_bands(r: int, upper: float = math.pi) -> list[tuple[int, int, float, float]]:
-    """(band, half, lo, hi) for every half-band inside (0, upper]."""
+def half_bands(r: int) -> list[tuple[int, int, float, float]]:
+    """(band, half, lo, hi) for every half-band inside (0, pi]."""
     out = []
     i = 0
-    while i * math.pi / r < upper - 1e-15:
+    while i * math.pi / r < math.pi - 1e-15:
         lo = i * math.pi / r
-        hi = min((i + 1) * math.pi / r, upper)
+        hi = min((i + 1) * math.pi / r, math.pi)
         out.append((i // 2, i % 2, lo, hi))
         i += 1
     return out
 
 
-def kernel_bound_sweep(r: int, points: int, k_max: int,
-                       upper: float = math.pi) -> list[HalfBandSweep]:
+def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     """Grid-verify |cos-kernel(k, +-r, x)| <= kernel_band_bound on each half-band.
 
     ``ratio`` is kernel magnitude over the bound; a ratio above 1 + 1e-12
@@ -263,7 +262,7 @@ def kernel_bound_sweep(r: int, points: int, k_max: int,
         raise ValueError("need points >= 2 and k_max >= 0")
     reports = []
     ks = np.arange(0, k_max + 1)[:, None]
-    for band, half, lo, hi in half_bands(r, upper):
+    for band, half, lo, hi in half_bands(r):
         width = hi - lo
         xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
         u = r * xs / math.pi - 2 * band

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -18,27 +17,23 @@ def fmt_value(v) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Comma-joined lines.  Nothing is quoted: every field the lab writes is
+    a number, ``true``/``false`` or a fixed name without commas."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([fmt_value(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(fmt_value, row)) + "\n" for row in rows)
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def write_polyline_svg(path, series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                       title: str = "", log_y: bool = False,
-                       width: int = 640, height: int = 420) -> None:
-    """One panel, any number of polylines; log_y plots log10 of positive y."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+                       title: str = "", log_y: bool = False) -> None:
+    """One 640 x 420 panel, any number of polylines; log_y plots log10 of positive y."""
+    width, height = 640, 420
     margin = 56.0
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
 
@@ -109,4 +104,4 @@ def write_polyline_svg(path, series: Sequence[tuple[str, Sequence[float], Sequen
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n")

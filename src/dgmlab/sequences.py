@@ -71,7 +71,7 @@ def _factor_tail(kind: str, a: float, start: int) -> float:
 
 @dataclass(frozen=True)
 class SequenceRule:
-    """Complex sequence ``{a_k}`` defined for ``k >= first_index``.
+    """Complex sequence ``{a_k}`` defined for ``k >= 1``.
 
     ``fn`` maps an integer index array to the values at those indices, in
     the same shape; it must be pure.
@@ -79,7 +79,6 @@ class SequenceRule:
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    first_index: int = 1
     real: bool = False
 
     def values(self, ks) -> np.ndarray:
@@ -169,8 +168,8 @@ def mixed_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
 
 def block_p_norm(seq: SequenceRule, m: int, p: float, r: int) -> float:
     """``(sum_{k=m}^{2m-1} |a_k - a_{k+r}|^p)^(1/p)`` over one dyadic block."""
-    if m < seq.first_index:
-        raise ValueError(f"block start {m} below first index {seq.first_index}")
+    if m < 1:
+        raise ValueError(f"block start must be >= 1, got {m}")
     if p <= 0:
         raise ValueError("p must be positive")
     if r < 1:
@@ -216,26 +215,24 @@ def window_diff_p_norm(seq: SequenceRule, start: int, length: int, p: float, r: 
 # rule constructors
 
 
-def rule_from_function(fn: Callable[[int], complex], label: str = "",
-                       first_index: int = 1) -> SequenceRule:
+def rule_from_function(fn: Callable[[int], complex], label: str = "") -> SequenceRule:
     """Sequence from a scalar function of one index, applied elementwise."""
-    return SequenceRule(np.vectorize(fn, otypes=[complex]), label=label,
-                        first_index=first_index)
+    return SequenceRule(np.vectorize(fn, otypes=[complex]), label=label)
 
 
-def rule_from_values(values, label: str = "", first_index: int = 1) -> SequenceRule:
-    """Array-backed sequence; indices beyond the array evaluate to 0."""
+def rule_from_values(values, label: str = "") -> SequenceRule:
+    """Array-backed sequence ``a_k = values[k - 1]``; indices beyond the array
+    evaluate to 0."""
     arr = np.asarray(values, dtype=complex)
 
     def fn(ks: np.ndarray) -> np.ndarray:
-        idx = ks - first_index
+        idx = ks - 1
         ok = (idx >= 0) & (idx < arr.size)
         out = np.zeros(ks.shape, dtype=complex)
         out[ok] = arr[idx[ok]]
         return out
 
-    return SequenceRule(fn, label=label, first_index=first_index,
-                        real=bool(np.isrealobj(values)))
+    return SequenceRule(fn, label=label, real=bool(np.isrealobj(values)))
 
 
 def product_rule(u: SequenceRule, v: SequenceRule, label: str = "",
@@ -259,15 +256,15 @@ def additive_rule(u: SequenceRule, v: SequenceRule, label: str = "") -> DoubleSe
     )
 
 
-def table_rule(table, label: str = "", first_index: int = 1) -> DoubleSequenceRule:
-    """Double rule backed by a 2-D array; zero outside the support box."""
+def table_rule(table, label: str = "") -> DoubleSequenceRule:
+    """Double rule ``c[j,k] = table[j - 1, k - 1]``; zero outside the support box."""
     arr = np.asarray(table, dtype=complex)
     if arr.ndim != 2:
         raise ValueError("table must be two-dimensional")
     rows, cols = arr.shape
 
     def fn(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        jb, kb = np.broadcast_arrays(js - first_index, ks - first_index)
+        jb, kb = np.broadcast_arrays(js - 1, ks - 1)
         ok = (jb >= 0) & (jb < rows) & (kb >= 0) & (kb < cols)
         out = np.zeros(jb.shape, dtype=complex)
         out[ok] = arr[jb[ok], kb[ok]]
@@ -275,7 +272,7 @@ def table_rule(table, label: str = "", first_index: int = 1) -> DoubleSequenceRu
 
     return DoubleSequenceRule(
         fn, label=label,
-        support=(first_index + rows - 1, first_index + cols - 1),
+        support=(rows, cols),
         real=bool(np.isrealobj(table)),
     )
 

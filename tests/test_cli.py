@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import re
 import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmlab.cli import build_parser, main
 
@@ -398,3 +403,104 @@ class TestUsageErrors:
         _, rows = read_csv(tmp_path / "log_integral.csv")
         value = rows[0][3]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unwritable_out_exits_3(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub" if below else afile
+        assert main(["log-integral", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'out'")
+        assert captured.err.count("\n") == 1
+
+    def test_failed_run_writes_nothing(self, tmp_path):
+        out = tmp_path / "new"
+        assert main(["membership", "--seq", "table", "--table-file", str(tmp_path / "nope.csv"),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_empty_table_keeps_its_header(self, tmp_path):
+        assert run(tmp_path, "embedding", "--seq", "geometric", "--p1", "1", "--p2", "2") == 0
+        assert (tmp_path / "embedding.csv").read_text() == "m,n,axis,lhs,bound\n"
+
+
+# Exit-code contract: random subcommands, flags and values at tiny sizes.
+# Each command starts with tiny sizes; the drawn flags come after them and
+# win, and every size they can set stays tiny (caps and horizons <= 64,
+# octaves <= 4, n-max <= 50, <= 5 kernel points).
+_ODD = ["0", "-1", "nan", "inf", "abc", ""]
+_SEQ = {"--seq": ["geometric", "power", "separable", "proposition", "table", "bogus"],
+        "--ratio": ["0.5"], "--exponent": ["1.5"], "--seq-p": ["2", "1"],
+        "--table-file": ["table.csv", "missing.csv"]}
+_BLOCKS = {"--octaves": ["1:4", "3:1"], "--blocks": ["2x2,4x8", "0x0"], "--fixed-m": ["4"]}
+_FUZZ = {
+    "membership": (["--cap", "64", "--octaves", "1:3"],
+                   {**_SEQ, **_BLOCKS, "--p": ["1", "2"], "--r": ["1", "3"],
+                    "--family": ["mean-value", "max-window", "sup-window"],
+                    "--lambda": ["1", "2"], "--cap": ["8", "64"], "--single": None}),
+    "embedding": (["--octaves", "0:3"],
+                  {**_SEQ, **_BLOCKS, "--p": ["1"], "--p1": ["1", "2"], "--p2": ["2"],
+                   "--r": ["1", "3"], "--r1": ["1", "2"], "--r2": ["3", "4"]}),
+    "sbp": (["--end", "20"],
+            {**_SEQ, "--start": ["1", "5"], "--end": ["3", "64"], "--r": ["1", "3"],
+             "--x": ["1.0", "2.0943951023931953"]}),
+    "kernel-bound": (["--points", "5", "--k-max", "20"],
+                     {"--r": ["1", "5"], "--points": ["2", "5"], "--k-max": ["64"]}),
+    "converge": (["--cap", "32", "--thresholds", "4,8"],
+                 {**_SEQ, "--p": ["2"], "--r": ["1", "3"], "--grid": ["r=2,points=1", "shape=9"],
+                  "--grid-r": ["1", "3"], "--points-per-band": ["1", "2"],
+                  "--exclusion": ["1e-6", "0.5"], "--thresholds": ["8,16", "16,8", "64"],
+                  "--cap": ["8", "64"], "--at-rational": ["1,1", "2,1"]}),
+    "decay": (["--horizon", "64", "--thresholds", "8,16"],
+              {**_SEQ, "--condition": ["jk", "loglog", "row-tail", "col-tail",
+                                       "mixed-diff-tail", "row-diff-tail", "col-diff-tail"],
+               "--thresholds": ["8,16", "16,8", "4096"], "--horizon": ["16", "64"],
+               "--p": ["2"], "--r": ["1", "2"]}),
+    "log-integral": ([], {"--n": ["10"], "--N": ["100"], "--p": ["1", "3"]}),
+    "counterexample": (["--n-max", "50", "--octaves", "1:3"],
+                       {"--p": ["2"], "--seq-p": ["1.5"], "--n-max": ["50"],
+                        "--fixed-m": ["1", "16"], "--octaves": ["1:4", "4:1"],
+                        "--norm-exponent": ["2"], "--restricted": None}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "table.csv").write_text("1,1,0.5\n1,2,0.25\n2,1,-0.25\n3,2,0.125\n")
+    (d / "afile").write_text("")
+    return d
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_every_run_ends_in_a_documented_exit_code(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ)))
+    base, flags = _FUZZ[command]
+    argv = [command, *base]
+    if command == "counterexample":
+        argv.insert(1, data.draw(st.sampled_from(["certify", "ratio", "bogus"])))
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        values = flags[flag]
+        argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
+    # at most one odd value, so that most runs get past the validators
+    odd = data.draw(st.none() | st.sampled_from(sorted(f for f, v in flags.items() if v)))
+    if odd is not None:
+        argv += [odd, data.draw(st.sampled_from(_ODD))]
+    argv += ["--no-plot"] * data.draw(st.booleans())
+    out = data.draw(st.sampled_from(["out"] * 4 + ["afile", "afile/sub"]))
+    argv = [str(fuzz_dir / a) if a in ("table.csv", "missing.csv") else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(fuzz_dir / out)])
+    assert code in (0, 1, 2, 3), argv
+    # one line: the verdict on stdout, or the error on stderr
+    printed, err = stdout.getvalue(), stderr.getvalue()
+    if code == 3:
+        assert printed == "" and err.startswith("error:") and err.count("\n") == 1, argv
+    else:
+        assert printed.count("\n") == 1 and err == "", argv
