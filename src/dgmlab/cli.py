@@ -8,7 +8,8 @@ machine-readable status:
     0  consistent / converging / decaying / verified / no violations
     1  violated / not converging / not decaying / unverified
     2  inconclusive
-    3  usage or configuration error, or an --out that cannot be written
+    3  usage or configuration error, an input past its stated bound, or an
+       --out that cannot be written
 
 Options resolve in three layers: the default declared on the subcommand's
 parser, then a flat ``key = value`` config file (``--config``), then
@@ -40,7 +41,7 @@ from .convergence import (
     jk_decay,
     log_integral_bound,
     loglog_decay,
-    mixed_diff_tail,
+    mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
     row_diff_tail_sup,
@@ -113,10 +114,10 @@ def _step(name: str, value: int) -> int:
     return int(value)
 
 
-def _cap(name: str, value: int) -> int:
+def _cap(name: str, value: int, low: int = 1) -> int:
     value = int(value)
-    if not 1 <= value <= HORIZON_LIMIT:
-        raise UsageError(name, f"must be in [1, {HORIZON_LIMIT}], got {value}")
+    if not low <= value <= HORIZON_LIMIT:
+        raise UsageError(name, f"must be in [{low}, {HORIZON_LIMIT}], got {value}")
     return value
 
 
@@ -240,12 +241,23 @@ def _bound_spec(args: argparse.Namespace) -> BoundSpec:
         raise UsageError("lambda", str(exc)) from None
 
 
+def _octave_starts(octaves: range) -> list[int]:
+    """2**t for each octave t; octaves whose block would start past
+    ``HORIZON_LIMIT`` are refused."""
+    top = HORIZON_LIMIT.bit_length() - 1
+    if octaves[-1] > top:
+        raise UsageError("octaves", f"octaves must be at most {top} "
+                                    f"(blocks start at most at {HORIZON_LIMIT})")
+    return [2**t for t in octaves]
+
+
 def _blocks(args: argparse.Namespace) -> list[tuple[int, int]]:
     if args.blocks:
-        return [(_step("blocks", m), _step("blocks", n)) for m, n in args.blocks]
+        return [(_cap("blocks", m), _cap("blocks", n)) for m, n in args.blocks]
     if args.fixed_m is not None:
-        return [(_step("fixed-m", args.fixed_m), 2**t) for t in args.octaves]
-    return [(2**t, 2**t) for t in args.octaves]
+        m = _cap("fixed-m", args.fixed_m)
+        return [(m, n) for n in _octave_starts(args.octaves)]
+    return [(n, n) for n in _octave_starts(args.octaves)]
 
 
 class _Run(NamedTuple):
@@ -344,10 +356,8 @@ def _run_sbp(args: argparse.Namespace) -> _Run:
 
 def _run_kernel_bound(args: argparse.Namespace) -> _Run:
     r = _step("r", args.r)
-    points = _step("points", args.points)
-    k_max = args.k_max
-    if k_max < 0:
-        raise UsageError("k-max", "must be >= 0")
+    points = _cap("points", args.points, low=2)
+    k_max = _cap("k-max", args.k_max, low=0)
     sweeps = kernel_bound_sweep(r, points, k_max)
     bad = sum(s.violations for s in sweeps)
     worst = max(s.max_ratio for s in sweeps)
@@ -405,18 +415,17 @@ def _run_decay(args: argparse.Namespace) -> _Run:
         p = _positive("p", args.p)
         r = _step("r", args.r)
 
-        def fn(m: int, n: int) -> tuple[float, bool]:
+        def fn(anchors: list[tuple[int, int]]) -> tuple[list[float], bool]:
             if condition == "row-tail":
-                est = row_tail_sup(c, max(m, 2), n, horizon)
-                return est.value, est.conclusive
-            if condition == "col-tail":
-                est = col_tail_sup(c, m, max(n, 2), horizon)
-                return est.value, est.conclusive
-            if condition == "mixed-diff-tail":
-                return mixed_diff_tail(c, p, r, m, n, horizon), True
-            if condition == "row-diff-tail":
-                return row_diff_tail_sup(c, p, r, m, n, horizon), True
-            return col_diff_tail_sup(c, p, r, m, n, horizon), True
+                ests = [row_tail_sup(c, max(m, 2), n, horizon) for m, n in anchors]
+            elif condition == "col-tail":
+                ests = [col_tail_sup(c, m, max(n, 2), horizon) for m, n in anchors]
+            elif condition == "mixed-diff-tail":
+                return mixed_diff_tails(c, p, r, anchors, horizon), True
+            else:
+                tail = row_diff_tail_sup if condition == "row-diff-tail" else col_diff_tail_sup
+                return [tail(c, p, r, m, n, horizon) for m, n in anchors], True
+            return [e.value for e in ests], all(e.conclusive for e in ests)
 
         report = tail_decay_report(fn, thresholds, horizon)
     verdict = classify_decay(report)
@@ -461,9 +470,9 @@ def _run_counterexample(args: argparse.Namespace) -> _Run:
                     EXIT_PASS if cert.verified else EXIT_FAIL,
                     {"certificate.csv": (["N", "partial_sum", "lower_bound", "margin"], rows)},
                     {"certificate.svg": (series, f"divergence certificate (p={p:g})", False)})
-    m = _step("fixed-m", args.fixed_m)
+    m = _cap("fixed-m", args.fixed_m)
     q = _positive("norm-exponent", args.norm_exponent)
-    ns = [2**t for t in args.octaves]
+    ns = _octave_starts(args.octaves)
     ratios = [cex.violation_ratio(m, n, p, norm_exponent=q, restricted=args.restricted)
               for n in ns]
     slope = float(np.polyfit(np.log2(ns), np.log2(ratios), 1)[0]) \

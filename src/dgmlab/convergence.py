@@ -577,26 +577,55 @@ def col_tail_sup(c: DoubleSequenceRule, m: int, n: int, horizon: int) -> TailEst
     return row_tail_sup(transpose_rule(c), n, m, horizon)
 
 
+def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
+                     anchors: Sequence[tuple[int, int]], horizon: int) -> list[float]:
+    """``mixed_diff_tail`` at every anchor (m, n).
+
+    For a rule without factors each row of |mixed difference| over columns
+    [n0, H] is evaluated once and passes through a window of ``2 * _CHUNK``
+    rows.  Each anchor adds, in order, the same ``_CHUNK``-row blocks as a
+    sum over its own range, so its value does not depend on the other
+    anchors, and memory grows with H, not H^2.
+    """
+    if p < 1 or r < 1:
+        raise ValueError("need p >= 1 and r >= 1")
+    if not anchors or horizon > HORIZON_LIMIT or not all(
+            1 <= m <= horizon and 1 <= n <= horizon for m, n in anchors):
+        raise ValueError("bad index range")
+    if c.factors is not None:
+        u, v = c.factors
+        out = []
+        for m, n in anchors:
+            su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
+            sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
+            out.append((m * n) ** (1.0 / p) * su * sv)
+        return out
+    n0 = min(n for _, n in anchors)
+    ks = np.arange(n0, horizon + 1)[None, :]
+    # the first row of every anchor's blocks, in the order the rows are needed
+    blocks = sorted((j, a) for a, (m, _) in enumerate(anchors)
+                    for j in range(m, horizon + 1, _CHUNK))
+    window = np.empty((2 * _CHUNK, ks.size))
+    lo = hi = 0  # the window holds rows [lo, hi)
+    totals = [0.0] * len(anchors)
+    for j, a in blocks:
+        end = min(j + _CHUNK, horizon + 1)
+        if end > hi:
+            keep = max(hi - j, 0)
+            window[:keep] = window[hi - keep - lo:hi - lo]
+            first, lo, hi = j + keep, j, min(j + 2 * _CHUNK, horizon + 1)
+            for i in range(first, hi, _CHUNK):
+                rows = np.arange(i, min(i + _CHUNK, hi), dtype=np.int64)[:, None]
+                window[i - lo:i - lo + rows.size] = np.abs(mixed_diff_values(c, rows, ks, r))
+        n = anchors[a][1]
+        totals[a] += float(np.sum(np.ascontiguousarray(window[j - lo:end - lo, n - n0:])))
+    return [(m * n) ** (1.0 / p) * t for (m, n), t in zip(anchors, totals)]
+
+
 def mixed_diff_tail(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
                     horizon: int) -> float:
     """``m^(1/p) n^(1/p) sum_{j=m}^{H} sum_{k=n}^{H} |mixed difference|``."""
-    if p < 1 or r < 1:
-        raise ValueError("need p >= 1 and r >= 1")
-    if not (1 <= m <= horizon and 1 <= n <= horizon) or horizon > HORIZON_LIMIT:
-        raise ValueError("bad index range")
-    scale = (m * n) ** (1.0 / p)
-    if c.factors is not None:
-        u, v = c.factors
-        su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
-        sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
-        return scale * su * sv
-    total = 0.0
-    ks = np.arange(n, horizon + 1)[None, :]
-    js_all = np.arange(m, horizon + 1, dtype=np.int64)
-    for i in range(0, js_all.size, _CHUNK):
-        chunk = js_all[i:i + _CHUNK, None]
-        total += float(np.sum(np.abs(mixed_diff_values(c, chunk, ks, r))))
-    return scale * total
+    return mixed_diff_tails(c, p, r, [(m, n)], horizon)[0]
 
 
 def row_diff_tail_sup(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
@@ -627,17 +656,17 @@ def col_diff_tail_sup(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
     return row_diff_tail_sup(transpose_rule(c), p, r, n, m, horizon)
 
 
-def tail_decay_report(fn: Callable[[int, int], tuple[float, bool]],
+def tail_decay_report(fn: Callable[[list[tuple[int, int]]], tuple[Sequence[float], bool]],
                       thresholds: Sequence[int], horizon: int) -> DecayReport:
-    """Sample a tail quantity over the frontier anchors from index 2 and report it."""
+    """Sample a tail quantity over the frontier anchors from index 2 and report it.
+
+    ``fn`` maps the list of anchors (m, n) to their values and whether all
+    of them are conclusive; it is called only after the thresholds are
+    checked.
+    """
     anchors = frontier_samples(horizon, min_index=2)
     ts = _decay_thresholds(anchors, thresholds)
-    vals = []
-    conclusive = True
-    for m, n in anchors:
-        v, ok = fn(m, n)
-        vals.append(v)
-        conclusive = conclusive and ok
+    vals, conclusive = fn(anchors)
     return _build_decay_report(anchors, np.asarray(vals, float), ts, conclusive)
 
 

@@ -252,28 +252,67 @@ def half_bands(r: int) -> list[tuple[int, int, float, float]]:
     return out
 
 
+# entries of one |cos| tile of the kernel sweep: the sweep's working set is
+# this tile plus a few arrays of one value per abscissa
+_TILE = 1 << 16
+
+
+def _jordan_bounds(xs: np.ndarray, r: int, band: int) -> np.ndarray:
+    """``kernel_band_bound`` at abscissas ``xs`` inside band ``band``."""
+    u = r * xs / math.pi - 2 * band
+    return np.where(u < 1.0, 1.0 / (2.0 * u), 1.0 / (2.0 * (2.0 - u)))
+
+
+def _abs_cos(shifts: np.ndarray, xs: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """|cos(s x)| for every shift s (rows) and abscissa x (columns), written
+    into the front of ``buf``."""
+    tile = buf[:shifts.size * xs.size].reshape(shifts.size, xs.size)
+    np.multiply(shifts[:, None], xs[None, :], out=tile)
+    np.cos(tile, out=tile)
+    return np.abs(tile, out=tile)
+
+
 def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     """Grid-verify |cos-kernel(k, +-r, x)| <= kernel_band_bound on each half-band.
 
     ``ratio`` is kernel magnitude over the bound; a ratio above 1 + 1e-12
-    counts as a violation (there should be none).
+    counts as a violation (there should be none).  The step -r kernel at k
+    has the numerator of the step +r kernel at k - r, so both signs read one
+    table of shifts k + r/2, k = -r..k_max.  The division by the denominator
+    and the bound is monotone, so each abscissa's ratio is that of its
+    largest |cos|; single entries are counted only where that ratio is over
+    the threshold.  The table is filled in tiles of at most ``_TILE`` entries.
     """
     if points < 2 or k_max < 0:
         raise ValueError("need points >= 2 and k_max >= 0")
+    # the rows either sign reads, and how many of the two signs read each
+    ks = np.union1d(np.arange(-r, k_max - r + 1), np.arange(0, k_max + 1))
+    shifts = ks + 0.5 * r
+    reads = (ks >= 0).astype(np.int64) + (ks <= k_max - r)
+    cols = min(points, _TILE)
+    strip = max(1, _TILE // cols)
+    buf = np.empty(_TILE)
     reports = []
-    ks = np.arange(0, k_max + 1)[:, None]
     for band, half, lo, hi in half_bands(r):
         width = hi - lo
         xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
-        u = r * xs / math.pi - 2 * band
-        bound = np.where(u < 1.0, 1.0 / (2.0 * u), 1.0 / (2.0 * (2.0 - u)))
-        denom = 2.0 * np.abs(np.sin(0.5 * r * xs))
         worst = 0.0
         bad = 0
-        for sign in (1, -1):
-            mag = np.abs(np.cos((ks + 0.5 * sign * r) * xs[None, :])) / denom[None, :]
-            ratio = mag / bound[None, :]
+        for c0 in range(0, points, cols):
+            x = xs[c0:c0 + cols]
+            top = np.zeros(x.size)
+            for s0 in range(0, ks.size, strip):
+                np.maximum(top, _abs_cos(shifts[s0:s0 + strip], x, buf).max(axis=0), out=top)
+            denom = 2.0 * np.abs(np.sin(0.5 * r * x))
+            bound = _jordan_bounds(x, r, band)
+            ratio = top / denom / bound
             worst = max(worst, float(np.max(ratio)))
-            bad += int(np.count_nonzero(ratio > 1.0 + 1e-12))
+            over = np.flatnonzero(ratio > 1.0 + 1e-12)
+            if over.size:  # count single entries; no column gets here in practice
+                step = _TILE // over.size
+                for s0 in range(0, ks.size, step):
+                    mag = _abs_cos(shifts[s0:s0 + step], x[over], buf) / denom[over]
+                    hits = np.count_nonzero(mag / bound[over] > 1.0 + 1e-12, axis=1)
+                    bad += int(reads[s0:s0 + step] @ hits)
         reports.append(HalfBandSweep(band, half, points, k_max, worst, bad))
     return reports

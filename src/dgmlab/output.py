@@ -16,12 +16,34 @@ def fmt_value(v) -> str:
     return str(v)
 
 
+# the field format of each exact type whose %-format equals ``fmt_value``
+_FIELD_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+
+
+class _RowFormats(dict):
+    """Row-type signature -> one %-format for the whole line, or None when a
+    field's type has none (bool, numpy scalars, complex): that row goes
+    through ``fmt_value``."""
+
+    def __missing__(self, signature: tuple) -> str | None:
+        try:
+            fmt = ",".join(_FIELD_FORMATS[t] for t in signature) + "\n"
+        except KeyError:
+            fmt = None
+        self[signature] = fmt
+        return fmt
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Comma-joined lines.  Nothing is quoted: every field the lab writes is
     a number, ``true``/``false`` or a fixed name without commas."""
+    formats = _RowFormats()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(fmt_value, row)) + "\n" for row in rows)
+        for row in rows:
+            fmt = formats[tuple(map(type, row))]
+            fh.write(fmt % tuple(row) if fmt is not None
+                     else ",".join(map(fmt_value, row)) + "\n")
 
 
 def _ticks(lo: float, hi: float) -> list[float]:

@@ -3,6 +3,7 @@ import csv
 import io
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgmlab.cli import build_parser, main
+from dgmlab.cli import _octave_starts, build_parser, main
+from dgmlab.sequences import HORIZON_LIMIT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -403,6 +405,33 @@ class TestUsageErrors:
         _, rows = read_csv(tmp_path / "log_integral.csv")
         value = rows[0][3]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+class TestBoundedInputs:
+    """Inputs past the stated bounds are refused at once with exit 3."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["counterexample", "ratio", "--seq-p", "2", "--octaves", "4:40"], "octaves"),
+        (["membership", "--seq", "geometric", "--octaves", "20:40"], "octaves"),
+        (["counterexample", "ratio", "--seq-p", "2", "--fixed-m", str(2**25)], "fixed-m"),
+        (["membership", "--seq", "geometric", "--fixed-m", str(2**25)], "fixed-m"),
+        (["membership", "--seq", "geometric", "--blocks", f"2x{2**25}"], "blocks"),
+        (["kernel-bound", "--points", "1"], "points"),
+        (["kernel-bound", "--points", str(2**25)], "points"),
+        (["kernel-bound", "--k-max", "-1"], "k-max"),
+        (["kernel-bound", "--k-max", str(2**25)], "k-max"),
+    ])
+    def test_refused_fast(self, tmp_path, capsys, argv, field):
+        t0 = time.perf_counter()
+        assert run(tmp_path, *argv) == 3
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field '{field}'")
+        assert captured.err.count("\n") == 1
+
+    def test_largest_octave_is_accepted(self):
+        assert _octave_starts(range(23, 25)) == [2**23, HORIZON_LIMIT]
 
 
 class TestOutputDirectory:

@@ -1,10 +1,12 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dgmlab import convergence
 from dgmlab.convergence import (
     EXACT_GENERAL_CAP,
     ConvergenceVerdict,
@@ -23,6 +25,7 @@ from dgmlab.convergence import (
     log_integral_bound,
     loglog_decay,
     mixed_diff_tail,
+    mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
     row_diff_tail_sup,
@@ -31,6 +34,7 @@ from dgmlab.convergence import (
 )
 from dgmlab.sequences import (
     DoubleSequenceRule,
+    mixed_diff_values,
     additive_rule,
     geometric_double_rule,
     geometric_rule,
@@ -564,6 +568,74 @@ class TestDiffTails:
             mixed_diff_tail(zero_double_rule(), 0.5, 1, 1, 1, 10)
         with pytest.raises(ValueError):
             row_diff_tail_sup(zero_double_rule(), 1.0, 0, 1, 1, 10)
+
+
+# the per-anchor loop that the batched mixed tail replaced: the reference the
+# batched values must equal bit for bit
+
+
+def loop_mixed_diff_tail(c, p, r, m, n, horizon, chunk=256):
+    total = 0.0
+    ks = np.arange(n, horizon + 1)[None, :]
+    js_all = np.arange(m, horizon + 1, dtype=np.int64)
+    for i in range(0, js_all.size, chunk):
+        rows = js_all[i:i + chunk, None]
+        total += float(np.sum(np.abs(mixed_diff_values(c, rows, ks, r))))
+    return (m * n) ** (1.0 / p) * total
+
+
+class TestBatchedMixedDiffTail:
+    """One pass over the |mixed difference| rows against the per-anchor loop."""
+
+    @staticmethod
+    def rules():
+        rng = np.random.default_rng(41)
+        return [
+            additive_rule(geometric_rule(0.5), geometric_rule(0.5)),
+            additive_rule(geometric_rule(0.6), power_rule(1.5)),
+            table_rule(rng.normal(size=(400, 350)) + 1j * rng.normal(size=(400, 350))),
+            table_rule(rng.normal(size=(120, 90))),
+        ]
+
+    @pytest.mark.parametrize("r, p, horizon", [(1, 1.0, 300), (2, 1.5, 700),
+                                               (3, 1.0, 700), (3, 1.5, 300)])
+    def test_equals_per_anchor_loop(self, r, p, horizon):
+        # every fourth frontier anchor: the first sets the smallest column,
+        # the others start inside the rows and columns it spans
+        anchors = frontier_samples(horizon, min_index=2)[::4]
+        picked = [0, 1, 9, len(anchors) // 2, len(anchors) - 1]
+        for c in self.rules():
+            got = mixed_diff_tails(c, p, r, anchors, horizon)
+            assert len(got) == len(anchors)
+            for i in picked:
+                m, n = anchors[i]
+                assert got[i] == loop_mixed_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
+
+    def test_every_anchor_with_a_small_window(self, monkeypatch):
+        # a 7-row block moves the window about 14 times per anchor: unsorted,
+        # repeated and single-row anchors all keep their own blocks
+        monkeypatch.setattr(convergence, "_CHUNK", 7)
+        horizon = 100
+        anchors = frontier_samples(horizon, min_index=2) + [(100, 3), (9, 100), (9, 100), (50, 50)]
+        for c in self.rules()[1:]:
+            got = mixed_diff_tails(c, 1.5, 2, anchors, horizon)
+            want = [loop_mixed_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
+            assert got == want, c.label
+
+    def test_single_anchor_function_agrees(self):
+        c = self.rules()[3]
+        assert mixed_diff_tail(c, 1.5, 2, 7, 300, 400) == loop_mixed_diff_tail(c, 1.5, 2, 7, 300, 400)
+
+    def test_memory_grows_with_the_horizon_not_its_square(self):
+        # a full float64 table over [2, 4000]^2 would take 128 MB
+        c = self.rules()[1]
+        tracemalloc.start()
+        try:
+            mixed_diff_tails(c, 1.0, 1, [(2, 2), (3900, 2000)], 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestLogIntegral:

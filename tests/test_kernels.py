@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmlab import kernels
 from dgmlab.kernels import (
+    HalfBandSweep,
     SingularAbscissa,
     band_index,
     dirichlet_cos,
@@ -151,6 +153,58 @@ class TestBandBound:
         assert rel_close(bands[-1][3], math.pi)
         for (b1, h1, lo1, hi1), (b2, h2, lo2, hi2) in zip(bands, bands[1:]):
             assert rel_close(hi1, lo2)
+
+
+def loop_kernel_bound_sweep(r, points, k_max):
+    """The two-sign sweep loop that the one-table sweep replaced: the
+    reference it must equal bit for bit.  The bound comes from the same
+    helper, so a patched bound reaches both."""
+    reports = []
+    ks = np.arange(0, k_max + 1)[:, None]
+    for band, half, lo, hi in half_bands(r):
+        width = hi - lo
+        xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
+        bound = kernels._jordan_bounds(xs, r, band)
+        denom = 2.0 * np.abs(np.sin(0.5 * r * xs))
+        worst = 0.0
+        bad = 0
+        for sign in (1, -1):
+            mag = np.abs(np.cos((ks + 0.5 * sign * r) * xs[None, :])) / denom[None, :]
+            ratio = mag / bound[None, :]
+            worst = max(worst, float(np.max(ratio)))
+            bad += int(np.count_nonzero(ratio > 1.0 + 1e-12))
+        reports.append(HalfBandSweep(band, half, points, k_max, worst, bad))
+    return reports
+
+
+class TestSweepAgainstLoop:
+    def test_jordan_bounds_match_scalar_bound(self):
+        for r in (1, 3):
+            for band, half, lo, hi in half_bands(r):
+                xs = np.linspace(lo, hi, 7)[1:-1]
+                got = kernels._jordan_bounds(xs, r, band)
+                assert got.tolist() == [kernel_band_bound(float(x), r, band) for x in xs]
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_equals_two_sign_loop(self, r):
+        for k_max in sorted({0, 1, r - 1, r, 3 * r, 200}):
+            for points in (2, 3, 97):
+                assert kernel_bound_sweep(r, points, k_max) == \
+                    loop_kernel_bound_sweep(r, points, k_max), (k_max, points)
+
+    def test_wide_grids_span_several_tiles(self):
+        # more points than one tile holds: the columns are swept in blocks
+        points = kernels._TILE + 3
+        assert kernel_bound_sweep(2, points, 3) == loop_kernel_bound_sweep(2, points, 3)
+
+    def test_recount_with_half_the_bound(self, monkeypatch):
+        jordan = kernels._jordan_bounds
+        monkeypatch.setattr(kernels, "_jordan_bounds",
+                            lambda xs, r, band: 0.5 * jordan(xs, r, band))
+        for r, points, k_max in [(1, 97, 200), (3, 97, 2), (4, 3, 1), (5, 300, 15)]:
+            got = kernel_bound_sweep(r, points, k_max)
+            assert got == loop_kernel_bound_sweep(r, points, k_max)
+            assert sum(s.violations for s in got) > 0
 
 
 class TestPartialSumBound:
