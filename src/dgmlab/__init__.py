@@ -15,18 +15,16 @@ from .convergence import (
     RemainderProfile,
     TailEstimate,
     classify_decay,
-    col_diff_tail_sup,
-    col_tail_sup,
     double_partial_sum,
     grid_points,
     jk_decay,
     log_integral_bound,
     loglog_decay,
-    mixed_diff_tail,
+    mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
-    row_diff_tail_sup,
-    row_tail_sup,
+    row_diff_tail_sups,
+    row_tail_sups,
 )
 from .counterexample import (
     DivergenceCertificate,

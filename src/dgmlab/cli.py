@@ -36,16 +36,14 @@ from .convergence import (
     GridSpec,
     ProfileEntry,
     classify_decay,
-    col_diff_tail_sup,
-    col_tail_sup,
     jk_decay,
     log_integral_bound,
     loglog_decay,
     mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
-    row_diff_tail_sup,
-    row_tail_sup,
+    row_diff_tail_sups,
+    row_tail_sups,
     tail_decay_report,
 )
 from .kernels import HalfBandSweep, direct_sine_sum, kernel_bound_sweep, sbp_decompose
@@ -69,6 +67,7 @@ from .sequences import (
     power_double_rule,
     power_rule,
     table_rule,
+    transpose_rule,
 )
 
 EXIT_PASS = 0
@@ -416,15 +415,15 @@ def _run_decay(args: argparse.Namespace) -> _Run:
         r = _step("r", args.r)
 
         def fn(anchors: list[tuple[int, int]]) -> tuple[list[float], bool]:
-            if condition == "row-tail":
-                ests = [row_tail_sup(c, max(m, 2), n, horizon) for m, n in anchors]
-            elif condition == "col-tail":
-                ests = [col_tail_sup(c, m, max(n, 2), horizon) for m, n in anchors]
-            elif condition == "mixed-diff-tail":
+            if condition == "mixed-diff-tail":
                 return mixed_diff_tails(c, p, r, anchors, horizon), True
-            else:
-                tail = row_diff_tail_sup if condition == "row-diff-tail" else col_diff_tail_sup
-                return [tail(c, p, r, m, n, horizon) for m, n in anchors], True
+            # the col-* conditions are the row-* ones on the transposed rule
+            rule, at = c, anchors
+            if condition.startswith("col-"):
+                rule, at = transpose_rule(c), [(n, m) for m, n in anchors]
+            if condition.endswith("diff-tail"):
+                return row_diff_tail_sups(rule, p, r, at, horizon), True
+            ests = row_tail_sups(rule, at, horizon)
             return [e.value for e in ests], all(e.conclusive for e in ests)
 
         report = tail_decay_report(fn, thresholds, horizon)
@@ -477,11 +476,15 @@ def _run_counterexample(args: argparse.Namespace) -> _Run:
               for n in ns]
     slope = float(np.polyfit(np.log2(ns), np.log2(ratios), 1)[0]) \
         if len(ns) >= 2 and all(v > 0 for v in ratios) else math.nan
-    growing = not math.isnan(slope) and slope > 0.05
-    return _Run(f"counterexample ratio: {'growing' if growing else 'bounded'} "
-                f"slope={slope:.4g} norm_exponent={q:g}",
-                EXIT_FAIL if growing else EXIT_PASS,
-                {"ratio.csv": (["n", "ratio"], zip(ns, ratios))})
+    # an infinite ratio comes from a truncated right-hand side: no reading
+    if not all(math.isfinite(v) for v in ratios):
+        reading, code = "inconclusive", EXIT_INCONCLUSIVE
+    elif not math.isnan(slope) and slope > 0.05:
+        reading, code = "growing", EXIT_FAIL
+    else:
+        reading, code = "bounded", EXIT_PASS
+    return _Run(f"counterexample ratio: {reading} slope={slope:.4g} norm_exponent={q:g}",
+                code, {"ratio.csv": (["n", "ratio"], zip(ns, ratios))})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .sequences import (
     mixed_diff_values,
     row_diff_values,
     step_diff_values,
-    transpose_rule,
 )
 
 # Verdict tolerances: sup below TOL_CONVERGE at the largest threshold and
@@ -516,21 +515,40 @@ class TailEstimate:
 _CHUNK = 256
 
 
-def _row_abs_tails(c: DoubleSequenceRule, js: np.ndarray, n: int, horizon: int) -> np.ndarray:
-    """``sum_{k=n}^{horizon} |c_jk|`` for each j in js."""
-    if c.factors is not None:
-        u, v = c.factors
-        vs = float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
-        return np.abs(u.values(js)) * vs
-    k_hi = horizon if c.support is None else min(horizon, c.support[1])
-    if k_hi < n:
-        return np.zeros(js.size)
-    ks = np.arange(n, k_hi + 1)[None, :]
-    out = np.empty(js.size)
-    for i in range(0, js.size, _CHUNK):
-        chunk = js[i:i + _CHUNK, None]
-        out[i:i + _CHUNK] = np.sum(np.abs(c.values(chunk, ks)), axis=1)
-    return out
+def _check_tail_args(anchors: Sequence[tuple[int, int]], horizon: int,
+                     p: float = 1.0, r: int = 1) -> None:
+    if p < 1 or r < 1:
+        raise ValueError("need p >= 1 and r >= 1")
+    if not anchors or horizon > HORIZON_LIMIT or not all(
+            1 <= m <= horizon and 1 <= n <= horizon for m, n in anchors):
+        raise ValueError("bad index range")
+
+
+def _abs_blocks(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                anchors: Sequence[tuple[int, int]], horizon: int,
+                k_hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(a, j, block)``: the ``_CHUNK``-row blocks of ``|fn|`` over rows
+    [m, horizon] and columns [n, k_hi] of each anchor a = (m, n), by first
+    row j.  A block is a view, valid until the next one.  Each row over
+    [n0, k_hi], n0 the smallest anchor column, is evaluated once and passes
+    through a window of ``2 * _CHUNK`` rows."""
+    n0 = min(n for _, n in anchors)
+    ks = np.arange(n0, k_hi + 1)[None, :]
+    # the first row of every anchor's blocks, in the order the rows are needed
+    blocks = sorted((j, a) for a, (m, _) in enumerate(anchors)
+                    for j in range(m, horizon + 1, _CHUNK))
+    window = np.empty((2 * _CHUNK, ks.size))
+    lo = hi = 0  # the window holds rows [lo, hi)
+    for j, a in blocks:
+        end = min(j + _CHUNK, horizon + 1)
+        if end > hi:
+            keep = max(hi - j, 0)
+            window[:keep] = window[hi - keep - lo:hi - lo]
+            first, lo, hi = j + keep, j, min(j + 2 * _CHUNK, horizon + 1)
+            for i in range(first, hi, _CHUNK):
+                rows = np.arange(i, min(i + _CHUNK, hi), dtype=np.int64)[:, None]
+                window[i - lo:i - lo + rows.size] = np.abs(fn(rows, ks))
+        yield a, j, window[j - lo:end - lo, anchors[a][1] - n0:]
 
 
 def _weight_is_decreasing(kind: str, a: float, j: float) -> bool:
@@ -541,57 +559,57 @@ def _weight_is_decreasing(kind: str, a: float, j: float) -> bool:
     return a > 1.0 + 1.0 / math.log(j)
 
 
-def row_tail_sup(c: DoubleSequenceRule, m: int, n: int, horizon: int) -> TailEstimate:
-    """``sup_{j in [m, horizon]} j * ln(j) * sum_{k=n}^{horizon} |c_jk|``.
+def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
+                  horizon: int) -> list[TailEstimate]:
+    """``sup_{j in [m, H]} j * ln(j) * sum_{k=n}^{H} |c_jk|`` at every anchor (m, n).
 
-    The residual bound covers both the truncated inner k-tail and the
-    unscanned j > horizon part; it needs a tail envelope on the rule.
+    Each row sum runs over [n, min(H, K)], K the support width, as one
+    contiguous reduction.  The residual bound covers both the truncated
+    inner k-tail and the unscanned j > H part; it needs a tail envelope on
+    the rule.  ``col-tail`` is this on the transposed rule.
     """
-    if m < 2:
+    _check_tail_args(anchors, horizon)
+    if any(m < 2 for m, _ in anchors):
         raise ValueError("need m >= 2 so the ln weight is positive")
-    if n < 1 or horizon < max(m, n) or horizon > HORIZON_LIMIT:
-        raise ValueError("horizon must cover [m, n] and stay under the limit")
-    js = np.arange(m, horizon + 1, dtype=np.int64)
-    tails = _row_abs_tails(c, js, n, horizon)
-    weighted = js * np.log(js) * tails
-    i = int(np.argmax(weighted))
-    value = float(weighted[i])
-
-    env = c.tail
-    if env is None:
-        return TailEstimate(value, math.inf, False, int(js[i]))
-    fj = env.f(js.astype(float))
-    w_max = float(np.max(js * np.log(js) * fj))
-    resid_inner = w_max * env.amp * env.g_tail(horizon + 1)
-    if _weight_is_decreasing(env.kind, env.a_j, horizon + 1.0):
-        h1 = horizon + 1.0
-        resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
+    if c.factors is not None:
+        u, v = c.factors
+        tails = [np.abs(u.values(np.arange(m, horizon + 1)))
+                 * float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
+                 for m, n in anchors]
     else:
-        resid_beyond = math.inf
-    residual = resid_inner + resid_beyond
-    return TailEstimate(value, residual, math.isfinite(residual), int(js[i]))
-
-
-def col_tail_sup(c: DoubleSequenceRule, m: int, n: int, horizon: int) -> TailEstimate:
-    """Transposed variant: ``sup_{k in [n, horizon]} k ln(k) sum_{j=m}^{horizon} |c_jk|``."""
-    return row_tail_sup(transpose_rule(c), n, m, horizon)
+        k_hi = horizon if c.support is None else min(horizon, c.support[1])
+        tails = [np.empty(horizon + 1 - m) for m, _ in anchors]
+        for a, j, block in _abs_blocks(c.values, anchors, horizon, k_hi):
+            i = j - anchors[a][0]
+            tails[a][i:i + len(block)] = np.sum(block, axis=1)
+    env, h1 = c.tail, horizon + 1.0
+    out = []
+    for (m, n), tail in zip(anchors, tails):
+        js = np.arange(m, horizon + 1, dtype=np.int64)
+        w = js * np.log(js)
+        weighted = w * tail
+        i = int(np.argmax(weighted))
+        residual = math.inf
+        if env is not None:
+            resid_beyond = math.inf
+            if _weight_is_decreasing(env.kind, env.a_j, h1):
+                resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
+            w_max = float(np.max(w * env.f(js.astype(float))))
+            residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
+        out.append(TailEstimate(float(weighted[i]), residual, math.isfinite(residual),
+                                int(js[i])))
+    return out
 
 
 def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
                      anchors: Sequence[tuple[int, int]], horizon: int) -> list[float]:
-    """``mixed_diff_tail`` at every anchor (m, n).
+    """``m^(1/p) n^(1/p) sum_{j=m}^{H} sum_{k=n}^{H} |mixed difference|`` at
+    every anchor (m, n).
 
-    For a rule without factors each row of |mixed difference| over columns
-    [n0, H] is evaluated once and passes through a window of ``2 * _CHUNK``
-    rows.  Each anchor adds, in order, the same ``_CHUNK``-row blocks as a
-    sum over its own range, so its value does not depend on the other
-    anchors, and memory grows with H, not H^2.
+    Each anchor adds, in order, the sums of its own ``_CHUNK``-row blocks,
+    so its value does not depend on the other anchors.
     """
-    if p < 1 or r < 1:
-        raise ValueError("need p >= 1 and r >= 1")
-    if not anchors or horizon > HORIZON_LIMIT or not all(
-            1 <= m <= horizon and 1 <= n <= horizon for m, n in anchors):
-        raise ValueError("bad index range")
+    _check_tail_args(anchors, horizon, p, r)
     if c.factors is not None:
         u, v = c.factors
         out = []
@@ -600,60 +618,37 @@ def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
             sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
             out.append((m * n) ** (1.0 / p) * su * sv)
         return out
-    n0 = min(n for _, n in anchors)
-    ks = np.arange(n0, horizon + 1)[None, :]
-    # the first row of every anchor's blocks, in the order the rows are needed
-    blocks = sorted((j, a) for a, (m, _) in enumerate(anchors)
-                    for j in range(m, horizon + 1, _CHUNK))
-    window = np.empty((2 * _CHUNK, ks.size))
-    lo = hi = 0  # the window holds rows [lo, hi)
     totals = [0.0] * len(anchors)
-    for j, a in blocks:
-        end = min(j + _CHUNK, horizon + 1)
-        if end > hi:
-            keep = max(hi - j, 0)
-            window[:keep] = window[hi - keep - lo:hi - lo]
-            first, lo, hi = j + keep, j, min(j + 2 * _CHUNK, horizon + 1)
-            for i in range(first, hi, _CHUNK):
-                rows = np.arange(i, min(i + _CHUNK, hi), dtype=np.int64)[:, None]
-                window[i - lo:i - lo + rows.size] = np.abs(mixed_diff_values(c, rows, ks, r))
-        n = anchors[a][1]
-        totals[a] += float(np.sum(np.ascontiguousarray(window[j - lo:end - lo, n - n0:])))
+    for a, _, block in _abs_blocks(lambda js, ks: mixed_diff_values(c, js, ks, r),
+                                   anchors, horizon, horizon):
+        totals[a] += float(np.sum(np.ascontiguousarray(block)))
     return [(m * n) ** (1.0 / p) * t for (m, n), t in zip(anchors, totals)]
 
 
-def mixed_diff_tail(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
-                    horizon: int) -> float:
-    """``m^(1/p) n^(1/p) sum_{j=m}^{H} sum_{k=n}^{H} |mixed difference|``."""
-    return mixed_diff_tails(c, p, r, [(m, n)], horizon)[0]
+def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
+                       anchors: Sequence[tuple[int, int]], horizon: int) -> list[float]:
+    """``m^(1/p) sup_{k in [n, H]} k * sum_{j=m}^{H} |row difference at (j, k)|``
+    at every anchor (m, n).
 
-
-def row_diff_tail_sup(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
-                      horizon: int) -> float:
-    """``m^(1/p) sup_{k in [n, H]} k * sum_{j=m}^{H} |row difference at (j, k)|``."""
-    if p < 1 or r < 1:
-        raise ValueError("need p >= 1 and r >= 1")
-    if not (1 <= m <= horizon and 1 <= n <= horizon) or horizon > HORIZON_LIMIT:
-        raise ValueError("bad index range")
-    scale = m ** (1.0 / p)
-    ks = np.arange(n, horizon + 1, dtype=np.int64)
+    Each column sum adds its rows in j order.  ``col-diff-tail`` is this on
+    the transposed rule.
+    """
+    _check_tail_args(anchors, horizon, p, r)
     if c.factors is not None:
         u, v = c.factors
-        su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
-        return scale * su * float(np.max(ks * np.abs(v.values(ks))))
-    js = np.arange(m, horizon + 1)[:, None]
-    best = 0.0
-    for i in range(0, ks.size, _CHUNK):
-        chunk = ks[i:i + _CHUNK][None, :]
-        sums = np.sum(np.abs(row_diff_values(c, js, chunk, r)), axis=0)
-        best = max(best, float(np.max(ks[i:i + _CHUNK] * sums)))
-    return scale * best
-
-
-def col_diff_tail_sup(c: DoubleSequenceRule, p: float, r: int, m: int, n: int,
-                      horizon: int) -> float:
-    """``n^(1/p) sup_{j in [m, H]} j * sum_{k=n}^{H} |column difference at (j, k)|``."""
-    return row_diff_tail_sup(transpose_rule(c), p, r, n, m, horizon)
+        out = []
+        for m, n in anchors:
+            ks = np.arange(n, horizon + 1, dtype=np.int64)
+            su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
+            out.append(m ** (1.0 / p) * su * float(np.max(ks * np.abs(v.values(ks)))))
+        return out
+    sums = [np.zeros(horizon + 1 - n) for _, n in anchors]
+    for a, _, block in _abs_blocks(lambda js, ks: row_diff_values(c, js, ks, r),
+                                   anchors, horizon, horizon):
+        for row in block:
+            sums[a] += row
+    return [m ** (1.0 / p) * float(np.max(np.arange(n, horizon + 1) * s))
+            for (m, n), s in zip(anchors, sums)]
 
 
 def tail_decay_report(fn: Callable[[list[tuple[int, int]]], tuple[Sequence[float], bool]],

@@ -157,6 +157,23 @@ class TestDecayCommand:
                        "--no-plot")
             assert code == 0, cond
 
+    @pytest.mark.parametrize("cond", ["tail", "diff-tail"])
+    def test_col_conditions_are_row_conditions_of_the_transpose(self, tmp_path, cond):
+        arr = np.random.default_rng(5).normal(size=(30, 20))
+        tables = {}
+        for name, table, side in (("t", arr, "col"), ("tt", arr.T, "row")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(f"{j + 1},{k + 1},{float(table[j, k])!r}\n"
+                                    for j in range(table.shape[0])
+                                    for k in range(table.shape[1])))
+            out = tmp_path / name
+            main(["decay", "--seq", "table", "--table-file", str(path), "--condition",
+                  f"{side}-{cond}", "--thresholds", "8,16,32", "--horizon", "40",
+                  "--p", "1.5", "--r", "2", "--no-plot", "--out", str(out)])
+            _, rows = read_csv(out / "decay.csv")
+            tables[side] = {(int(m), int(n)): v for m, n, v in rows}
+        assert tables["col"] == {(n, m): v for (m, n), v in tables["row"].items()}
+
     def test_unknown_condition(self, tmp_path):
         assert run(tmp_path, "decay", "--condition", "bogus") == 3
 
@@ -209,6 +226,19 @@ class TestCounterexampleCommand:
         code = run(tmp_path, "counterexample", "ratio", "--seq-p", "2",
                    "--octaves", "4:10", "--norm-exponent", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("extra, code, reading", [
+        # from octave 18 the window bound lies past the horizon cap: inf ratios
+        (["--octaves", "4:18"], 2, "inconclusive"),
+        (["--octaves", "4:12"], 1, "growing"),
+        (["--octaves", "4:12", "--norm-exponent", "2"], 0, "bounded"),
+    ])
+    def test_ratio_reading(self, tmp_path, capsys, extra, code, reading):
+        assert run(tmp_path, "counterexample", "ratio", "--seq-p", "2", *extra) == code
+        assert capsys.readouterr().out.startswith(f"counterexample ratio: {reading} ")
+        if code == 2:
+            _, rows = read_csv(tmp_path / "ratio.csv")
+            assert rows[-1] == ["262144", "inf"]
 
 
 class TestTableInput:

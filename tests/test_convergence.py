@@ -16,25 +16,23 @@ from dgmlab.convergence import (
     _general_scan,
     _point_sups,
     classify_decay,
-    col_diff_tail_sup,
-    col_tail_sup,
     double_partial_sum,
     frontier_samples,
     grid_points,
     jk_decay,
     log_integral_bound,
     loglog_decay,
-    mixed_diff_tail,
     mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
-    row_diff_tail_sup,
-    row_tail_sup,
+    row_diff_tail_sups,
+    row_tail_sups,
     tail_decay_report,
 )
 from dgmlab.sequences import (
     DoubleSequenceRule,
     mixed_diff_values,
+    row_diff_values,
     additive_rule,
     geometric_double_rule,
     geometric_rule,
@@ -43,6 +41,7 @@ from dgmlab.sequences import (
     product_rule,
     rule_from_values,
     table_rule,
+    transpose_rule,
     zero_double_rule,
 )
 
@@ -447,25 +446,42 @@ class TestDecayReports:
     def test_thresholds_checked_before_any_sample(self):
         calls = []
 
-        def fn(m, n):
-            calls.append((m, n))
-            return 0.0, True
+        def fn(anchors):
+            calls.append(anchors)
+            return [0.0] * len(anchors), True
 
         with pytest.raises(ValueError, match="does not reach"):
             tail_decay_report(fn, [16, 64, 4096], horizon=256)
         with pytest.raises(ValueError, match="strictly increasing"):
             tail_decay_report(fn, [64, 16], horizon=256)
         assert calls == []
+        tail_decay_report(fn, [16, 64], horizon=256)
+        assert calls == [frontier_samples(256, min_index=2)]
+
+
+# one-anchor calls of the batched tails
+
+
+def row_tail(c, m, n, horizon):
+    return row_tail_sups(c, [(m, n)], horizon)[0]
+
+
+def mixed_diff_tail(c, p, r, m, n, horizon):
+    return mixed_diff_tails(c, p, r, [(m, n)], horizon)[0]
+
+
+def row_diff_tail(c, p, r, m, n, horizon):
+    return row_diff_tail_sups(c, p, r, [(m, n)], horizon)[0]
 
 
 class TestTailSups:
     def test_zero_rule(self):
-        est = row_tail_sup(zero_double_rule(), 2, 1, 64)
+        est = row_tail(zero_double_rule(), 2, 1, 64)
         assert est.value == 0.0
 
     def test_geometric_matches_loop_oracle(self):
         c = geometric_double_rule(0.5)
-        est = row_tail_sup(c, 4, 3, 200)
+        est = row_tail(c, 4, 3, 200)
         want = max(j * math.log(j) * sum(0.5 ** (j + k) for k in range(3, 201))
                    for j in range(4, 201))
         assert rel_close(est.value, want)
@@ -476,27 +492,27 @@ class TestTailSups:
 
     def test_inverse_square_conclusive_and_decaying(self):
         c = power_double_rule(2.0)
-        values = [row_tail_sup(c, m, m, 4000).value for m in (8, 32, 128)]
+        values = [row_tail(c, m, m, 4000).value for m in (8, 32, 128)]
         assert all(a > b for a, b in zip(values, values[1:]))
-        assert row_tail_sup(c, 8, 8, 4000).conclusive
+        assert row_tail(c, 8, 8, 4000).conclusive
 
     def test_no_envelope_is_inconclusive(self):
         rng = np.random.default_rng(9)
         c = table_rule(rng.normal(size=(32, 32)))
-        assert not row_tail_sup(c, 2, 1, 64).conclusive
+        assert not row_tail(c, 2, 1, 64).conclusive
 
     def test_col_variant_transposes(self):
         rng = np.random.default_rng(19)
         arr = np.abs(rng.normal(size=(24, 24)))
         c = table_rule(arr)
         ct = table_rule(arr.T)
-        a = col_tail_sup(c, 3, 4, 24)
-        b = row_tail_sup(ct, 4, 3, 24)
+        a = row_tail(transpose_rule(c), 4, 3, 24)
+        b = row_tail(ct, 4, 3, 24)
         assert rel_close(a.value, b.value)
 
     def test_requires_log_positive_start(self):
         with pytest.raises(ValueError):
-            row_tail_sup(zero_double_rule(), 1, 1, 64)
+            row_tail(zero_double_rule(), 1, 1, 64)
 
 
 class TestProductTailPaths:
@@ -514,8 +530,8 @@ class TestProductTailPaths:
     def test_row_tail_sup(self, imag):
         fast, slow = self.pair(imag)
         for m, n, horizon in [(2, 1, 60), (5, 9, 40), (12, 3, 300)]:
-            a = row_tail_sup(fast, m, n, horizon)
-            b = row_tail_sup(slow, m, n, horizon)
+            a = row_tail(fast, m, n, horizon)
+            b = row_tail(slow, m, n, horizon)
             assert rel_close(a.value, b.value)
             assert a.maximizer == b.maximizer and a.residual == b.residual
 
@@ -530,8 +546,8 @@ class TestProductTailPaths:
     def test_row_diff_tail_sup(self, imag):
         fast, slow = self.pair(imag)
         for p, r, m, n, horizon in [(1.0, 1, 1, 1, 60), (2.0, 3, 4, 7, 80), (1.5, 2, 9, 2, 300)]:
-            assert rel_close(row_diff_tail_sup(fast, p, r, m, n, horizon),
-                             row_diff_tail_sup(slow, p, r, m, n, horizon))
+            assert rel_close(row_diff_tail(fast, p, r, m, n, horizon),
+                             row_diff_tail(slow, p, r, m, n, horizon))
 
 
 class TestDiffTails:
@@ -549,7 +565,7 @@ class TestDiffTails:
 
     def test_row_diff_matches_loop_oracle(self):
         c = geometric_double_rule(0.5)
-        got = row_diff_tail_sup(c, 2.0, 1, 4, 4, 200)
+        got = row_diff_tail(c, 2.0, 1, 4, 4, 200)
         ev = functools.cache(c.eval)
         want = 4 ** 0.5 * max(
             k * sum(abs(row_diff(ev, j, k, 1)) for j in range(4, 201))
@@ -560,17 +576,19 @@ class TestDiffTails:
         rng = np.random.default_rng(29)
         arr = rng.normal(size=(20, 20))
         c, ct = table_rule(arr), table_rule(arr.T)
-        assert rel_close(col_diff_tail_sup(c, 1.0, 2, 3, 5, 20),
-                         row_diff_tail_sup(ct, 1.0, 2, 5, 3, 20))
+        assert rel_close(row_diff_tail(transpose_rule(c), 1.0, 2, 5, 3, 20),
+                         row_diff_tail(ct, 1.0, 2, 5, 3, 20))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             mixed_diff_tail(zero_double_rule(), 0.5, 1, 1, 1, 10)
         with pytest.raises(ValueError):
-            row_diff_tail_sup(zero_double_rule(), 1.0, 0, 1, 1, 10)
+            row_diff_tail(zero_double_rule(), 1.0, 0, 1, 1, 10)
+        with pytest.raises(ValueError, match="bad index range"):
+            row_tail_sups(zero_double_rule(), [], 10)
 
 
-# the per-anchor loop that the batched mixed tail replaced: the reference the
+# the per-anchor loops that the batched tails replaced: the references the
 # batched values must equal bit for bit
 
 
@@ -584,8 +602,47 @@ def loop_mixed_diff_tail(c, p, r, m, n, horizon, chunk=256):
     return (m * n) ** (1.0 / p) * total
 
 
+def loop_row_tail(c, m, n, horizon, chunk=256):
+    """(value, maximizer) of the weighted row tail, one row chunk at a time."""
+    js = np.arange(m, horizon + 1, dtype=np.int64)
+    k_hi = horizon if c.support is None else min(horizon, c.support[1])
+    tails = np.zeros(js.size)
+    if k_hi >= n:
+        ks = np.arange(n, k_hi + 1)[None, :]
+        for i in range(0, js.size, chunk):
+            tails[i:i + chunk] = np.sum(np.abs(c.values(js[i:i + chunk, None], ks)), axis=1)
+    weighted = js * np.log(js) * tails
+    i = int(np.argmax(weighted))
+    return float(weighted[i]), int(js[i])
+
+
+def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
+    """The row difference tail over strips of ``chunk`` columns.  Rows are
+    added one at a time: numpy sums a one-column array pairwise, not in j
+    order."""
+    ks = np.arange(n, horizon + 1, dtype=np.int64)
+    js = np.arange(m, horizon + 1)[:, None]
+    best = 0.0
+    for i in range(0, ks.size, chunk):
+        diffs = np.abs(row_diff_values(c, js, ks[None, i:i + chunk], r))
+        sums = functools.reduce(np.add, diffs)
+        best = max(best, float(np.max(ks[i:i + chunk] * sums)))
+    return m ** (1.0 / p) * best
+
+
+def counted(c):
+    """``c`` with a counter of the entries its ``fn`` evaluates."""
+    count = [0]
+
+    def fn(js, ks):
+        count[0] += np.broadcast(js, ks).size
+        return c.fn(js, ks)
+
+    return dataclasses.replace(c, fn=fn), count
+
+
 class TestBatchedMixedDiffTail:
-    """One pass over the |mixed difference| rows against the per-anchor loop."""
+    """One pass over the rows per tail against the per-anchor loops."""
 
     @staticmethod
     def rules():
@@ -606,10 +663,14 @@ class TestBatchedMixedDiffTail:
         picked = [0, 1, 9, len(anchors) // 2, len(anchors) - 1]
         for c in self.rules():
             got = mixed_diff_tails(c, p, r, anchors, horizon)
-            assert len(got) == len(anchors)
+            rows = row_tail_sups(c, anchors, horizon)
+            diffs = row_diff_tail_sups(c, p, r, anchors, horizon)
+            assert len(got) == len(rows) == len(diffs) == len(anchors)
             for i in picked:
                 m, n = anchors[i]
                 assert got[i] == loop_mixed_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
+                assert (rows[i].value, rows[i].maximizer) == loop_row_tail(c, m, n, horizon)
+                assert diffs[i] == loop_row_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
 
     def test_every_anchor_with_a_small_window(self, monkeypatch):
         # a 7-row block moves the window about 14 times per anchor: unsorted,
@@ -621,21 +682,50 @@ class TestBatchedMixedDiffTail:
             got = mixed_diff_tails(c, 1.5, 2, anchors, horizon)
             want = [loop_mixed_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
             assert got == want, c.label
+            got = [(e.value, e.maximizer) for e in row_tail_sups(c, anchors, horizon)]
+            assert got == [loop_row_tail(c, m, n, horizon, chunk=7) for m, n in anchors], c.label
+            got = row_diff_tail_sups(c, 1.5, 2, anchors, horizon)
+            want = [loop_row_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
+            assert got == want, c.label
 
     def test_single_anchor_function_agrees(self):
         c = self.rules()[3]
         assert mixed_diff_tail(c, 1.5, 2, 7, 300, 400) == loop_mixed_diff_tail(c, 1.5, 2, 7, 300, 400)
+        est = row_tail(c, 7, 30, 400)
+        assert (est.value, est.maximizer) == loop_row_tail(c, 7, 30, 400)
+        assert row_diff_tail(c, 1.5, 2, 7, 30, 400) == loop_row_diff_tail(c, 1.5, 2, 7, 30, 400)
+
+    @pytest.mark.parametrize("tail, per_entry", [
+        (lambda c, anchors, h: row_tail_sups(c, anchors, h), 1),
+        (lambda c, anchors, h: row_diff_tail_sups(c, 1.0, 2, anchors, h), 2),
+        (lambda c, anchors, h: mixed_diff_tails(c, 1.0, 2, anchors, h), 4),
+    ], ids=["row-tail", "row-diff-tail", "mixed-diff-tail"])
+    def test_each_row_is_evaluated_once(self, monkeypatch, tail, per_entry):
+        # every frontier anchor from (2, 2): rows and columns both span [2, H];
+        # 7-row blocks move the window about 40 times
+        monkeypatch.setattr(convergence, "_CHUNK", 7)
+        horizon = 300
+        anchors = frontier_samples(horizon, min_index=2)
+        c, count = counted(self.rules()[2])
+        tail(c, anchors, horizon)
+        assert 0 < count[0] <= (horizon - 1) ** 2 * per_entry
 
     def test_memory_grows_with_the_horizon_not_its_square(self):
         # a full float64 table over [2, 4000]^2 would take 128 MB
         c = self.rules()[1]
+        anchors = [(2, 2), (3900, 2000)]
         tracemalloc.start()
         try:
-            mixed_diff_tails(c, 1.0, 1, [(2, 2), (3900, 2000)], 4000)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks = []
+            for tail in (lambda: row_tail_sups(c, anchors, 4000),
+                         lambda: row_diff_tail_sups(c, 1.0, 1, anchors, 4000),
+                         lambda: mixed_diff_tails(c, 1.0, 1, anchors, 4000)):
+                tracemalloc.reset_peak()
+                tail()
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert max(peaks) < 64e6, peaks
 
 
 class TestLogIntegral:
