@@ -59,7 +59,6 @@ from .membership import (
     embedding_check,
     gm_membership_scan,
     membership_scan,
-    rhs_col_bound,
     rhs_mixed_bound,
     rhs_row_bound,
 )

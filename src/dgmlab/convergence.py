@@ -165,33 +165,44 @@ def _start_maxima(prefix: np.ndarray) -> np.ndarray:
     return np.maximum(smax - starts, starts - smin)
 
 
+def frontier_product_max(a: np.ndarray, b: np.ndarray,
+                         sums: Sequence[int]) -> list[tuple[float, int, int]]:
+    """Per sum s, the max of ``a[i-1] * b[j-1]`` over ``i + j >= s``.
+
+    ``(value, i, j)`` with 1-based indices, the smallest i first and then
+    the smallest j; ``(-inf, 0, 0)`` when no pair reaches s.  The suffix
+    maxima of ``b`` are computed once for all the sums.
+    """
+    iv = np.arange(1, a.size + 1)
+    sb = _suffix_max(b)
+    out = []
+    for s in sums:
+        lo = np.clip(s - iv, 1, b.size + 1)
+        cand = np.where(lo <= b.size, a * sb[np.minimum(lo, b.size) - 1], -np.inf)
+        i = int(np.argmax(cand))
+        j = int(lo[i])
+        if j > b.size:
+            out.append((-math.inf, 0, 0))
+        else:
+            out.append((float(cand[i]), i + 1, j + int(np.argmax(b[j - 1:]))))
+    return out
+
+
 def _point_sups_product(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     u, v = c.factors
-    cap_m, cap_n = caps
-    ms = np.arange(1, cap_m + 1)
-    ns = np.arange(1, cap_n + 1)
+    ms = np.arange(1, caps[0] + 1)
+    ns = np.arange(1, caps[1] + 1)
     u_vals = u.values(ms).real
     v_vals = v.values(ns).real
     results = []
     for x, y in points:
         pu = _start_maxima(np.concatenate(([0.0], np.cumsum(u_vals * np.sin(ms * x)))))
         pv = _start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
-        sv = _suffix_max(pv)
-        out = []
-        for t in thresholds:
-            lo_n = np.clip(t + 1 - ms, 1, cap_n + 1)
-            ok = lo_n <= cap_n
-            cand = np.where(ok, pu * sv[np.minimum(lo_n, cap_n) - 1], -np.inf)
-            i = int(np.argmax(cand))
-            if not np.isfinite(cand[i]):
-                out.append((0.0, 0, 0))
-                continue
-            a = int(lo_n[i])
-            n_star = a + int(np.argmax(pv[a - 1:]))
-            out.append((float(cand[i]), int(ms[i]), n_star))
-        results.append(out)
+        # rectangles with m + n > t
+        best = frontier_product_max(pu, pv, [t + 1 for t in thresholds])
+        results.append([e if math.isfinite(e[0]) else (0.0, 0, 0) for e in best])
     return results
 
 
@@ -481,7 +492,7 @@ def classify_decay(report: DecayReport) -> DecayVerdict:
     """Three-valued reading of a decay report's tail trajectory."""
     first, last = report.max_tail[0], report.max_tail[-1]
     if last == 0.0:
-        return DecayVerdict.DECAYING
+        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
     if first > 0 and last <= 0.5 * first and (math.isnan(report.trend_fit)
                                               or report.trend_fit < -0.02):
         return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
@@ -506,10 +517,6 @@ class TailEstimate:
     value: float
     residual: float
     conclusive: bool
-    maximizer: int = 0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 _CHUNK = 256
@@ -588,7 +595,6 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
         js = np.arange(m, horizon + 1, dtype=np.int64)
         w = js * np.log(js)
         weighted = w * tail
-        i = int(np.argmax(weighted))
         residual = math.inf
         if env is not None:
             resid_beyond = math.inf
@@ -596,8 +602,7 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
                 resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
             w_max = float(np.max(w * env.f(js.astype(float))))
             residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
-        out.append(TailEstimate(float(weighted[i]), residual, math.isfinite(residual),
-                                int(js[i])))
+        out.append(TailEstimate(float(np.max(weighted)), residual, math.isfinite(residual)))
     return out
 
 

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import BoundFamily, BoundSpec, rhs_col_bound
+from .membership import BoundFamily, BoundSpec, rhs_row_bound
 from .sequences import (
     DoubleSequenceRule,
     SequenceRule,
     TailEnvelope,
+    p_norm,
     product_rule,
+    transpose_rule,
 )
 
 SIN_2PI3 = math.sin(2.0 * math.pi / 3.0)  # = sqrt(3)/2
@@ -149,13 +151,13 @@ def violation_ratio(m: int, n: int, p: float, spec: BoundSpec | None = None,
         raise ValueError("norm exponent must be positive")
     if spec is None:
         spec = BoundSpec(BoundFamily.MAX_WINDOW, lam=2)
-    c = double_rule(p)
     ks = np.arange(n, 2 * n, dtype=np.int64)
-    diffs = np.abs(single_values(ks, p) - single_values(ks + 3, p)) * single_term(m, p)
+    diffs = (single_values(ks, p) - single_values(ks + 3, p)) * single_term(m, p)
     if restricted:
         diffs = diffs[ks % 6 == 3]
-    lhs = float(np.sum(diffs**norm_exponent) ** (1.0 / norm_exponent))
-    rhs = rhs_col_bound(c, m, n, spec)
+    lhs = p_norm(diffs, norm_exponent)
+    # the column bound is the row bound of the transposed rule
+    rhs = rhs_row_bound(transpose_rule(double_rule(p)), n, m, spec)
     if rhs.value <= 0:
         return math.inf if lhs > 0 else 0.0
     return lhs / rhs.value

@@ -13,6 +13,10 @@ class constant C:
 Suprema are truncated at ``horizon_cap``.  A maximizer sitting on the cap
 boundary, or a frontier the cap cannot reach, is flagged and degrades the
 scan verdict to "inconclusive" instead of being silently swallowed.
+
+Only the row quantities are implemented.  A column quantity of ``c`` at
+block (m, n) is the row quantity of ``transpose_rule(c)`` at (n, m): the
+column bound is ``rhs_row_bound(transpose_rule(c), n, m, spec)``.
 """
 
 from __future__ import annotations
@@ -24,15 +28,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .convergence import frontier_product_max
 from .sequences import (
     HORIZON_LIMIT,
     DoubleSequenceRule,
     SequenceRule,
     block_p_norm,
-    col_diff_values,
     double_block_p_norm,
     mixed_diff_values,
+    p_norm,
     row_diff_values,
+    transpose_rule,
     window_diff_p_norm,
 )
 
@@ -110,16 +116,6 @@ class BoundValue:
     truncated: bool = False
     conclusive: bool = True
 
-    def __float__(self) -> float:
-        return self.value
-
-
-def _abs_line(c: DoubleSequenceRule, js, k: int, axis: str) -> np.ndarray:
-    """|c| along one row (axis='col': varying k at fixed j)."""
-    if axis == "row":
-        return np.abs(c.values(np.asarray(js), k))
-    return np.abs(c.values(k, np.asarray(js)))
-
 
 def _window_sums(values: np.ndarray, first: int, starts: np.ndarray) -> np.ndarray:
     """``sum_{i=M}^{2M} values[i]`` for each start M, windows inclusive.
@@ -135,23 +131,13 @@ def _window_sums(values: np.ndarray, first: int, starts: np.ndarray) -> np.ndarr
 
 def rhs_row_bound(c: DoubleSequenceRule, m: int, n: int, spec: BoundSpec) -> BoundValue:
     """Row-family bound at block start m, column n, scaled by 1/m."""
-    return _line_bound(c, m, n, spec, axis="row")
-
-
-def rhs_col_bound(c: DoubleSequenceRule, m: int, n: int, spec: BoundSpec) -> BoundValue:
-    """Column-family bound at block start n, row m, scaled by 1/n."""
-    return _line_bound(c, n, m, spec, axis="col")
-
-
-def _line_bound(c: DoubleSequenceRule, m: int, other: int, spec: BoundSpec,
-                axis: str) -> BoundValue:
-    if other < 1:
+    if n < 1:
         raise ValueError("fixed index must be >= 1")
     if spec.family is BoundFamily.MEAN_VALUE:
         if m < spec.lam:
             raise ValueError(f"mean-value family needs block start >= lam={spec.lam}")
         lo, hi = m // spec.lam, spec.lam * m
-        total = float(np.sum(_abs_line(c, np.arange(lo, hi + 1), other, axis)))
+        total = float(np.sum(np.abs(c.values(np.arange(lo, hi + 1), n))))
         return BoundValue(total / m)
 
     if spec.family is BoundFamily.MAX_WINDOW and m < spec.lam:
@@ -167,7 +153,7 @@ def _line_bound(c: DoubleSequenceRule, m: int, other: int, spec: BoundSpec,
     if lo > hi:
         return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
     starts = np.arange(lo, hi + 1)
-    vals = _abs_line(c, np.arange(lo, 2 * hi + 1), other, axis)
+    vals = np.abs(c.values(np.arange(lo, 2 * hi + 1), n))
     sums = _window_sums(vals, lo, starts)
     i = int(np.argmax(sums))
     best = int(starts[i])
@@ -212,18 +198,9 @@ def _frontier_sup(c: DoubleSequenceRule, lo_sum: int, cap: int) -> BoundValue:
         starts = np.arange(1, cap + 1)
         wu = _window_sums(np.abs(u.values(np.arange(1, 2 * cap + 1))), 1, starts)
         wv = _window_sums(np.abs(v.values(np.arange(1, 2 * cap + 1))), 1, starts)
-        if lo_sum > 2 * cap:
+        [(value, best_m, best_n)] = frontier_product_max(wu, wv, [lo_sum])
+        if best_m == 0:  # the frontier lies beyond the cap
             return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
-        # suffix max of wv: best column window with N >= a
-        suf = np.maximum.accumulate(wv[::-1])[::-1]
-        n_lo = np.clip(lo_sum - starts, 1, cap + 1)
-        ok = n_lo <= cap
-        cand = np.where(ok, wu * suf[np.minimum(n_lo, cap) - 1], -np.inf)
-        i = int(np.argmax(cand))
-        best_m = int(starts[i])
-        a = int(n_lo[i])
-        best_n = a + int(np.argmax(wv[a - 1:]))
-        value = float(wu[i] * wv[best_n - 1])
         truncated = best_m == cap or best_n == cap
         return BoundValue(value, maximizer=(best_m, best_n), truncated=truncated)
 
@@ -310,13 +287,7 @@ class MembershipReport:
 
 
 def _row_lhs(c: DoubleSequenceRule, m: int, n: int, p: float, r: int) -> float:
-    d = np.abs(row_diff_values(c, np.arange(m, 2 * m), n, r))
-    return float(np.sum(d**p) ** (1.0 / p))
-
-
-def _col_lhs(c: DoubleSequenceRule, m: int, n: int, p: float, r: int) -> float:
-    d = np.abs(col_diff_values(c, m, np.arange(n, 2 * n), r))
-    return float(np.sum(d**p) ** (1.0 / p))
+    return p_norm(row_diff_values(c, np.arange(m, 2 * m), n, r), p)
 
 
 def _fit_axis(axis: str, pts: list[tuple[float, float]]) -> AxisFit | None:
@@ -351,12 +322,13 @@ def membership_scan(c: DoubleSequenceRule, p: float, r: int, spec: BoundSpec,
         raise ValueError("block list must not be empty")
     if p <= 0 or r < 1:
         raise ValueError("need p > 0 and r >= 1")
+    t = transpose_rule(c)
 
     def one(block: tuple[int, int]) -> list[BlockEvidence]:
         m, n = block
         triples = (
             ("row", _row_lhs(c, m, n, p, r), rhs_row_bound(c, m, n, spec)),
-            ("col", _col_lhs(c, m, n, p, r), rhs_col_bound(c, m, n, spec)),
+            ("col", _row_lhs(t, n, m, p, r), rhs_row_bound(t, n, m, spec)),
             ("mixed", double_block_p_norm(c, m, n, p, r), rhs_mixed_bound(c, m, n, spec)),
         )
         out = []
@@ -456,12 +428,13 @@ def embedding_check(c: DoubleSequenceRule, r: int, p1: float, p2: float,
     """
     if not 0 < p1 <= p2:
         raise ValueError("need 0 < p1 <= p2")
+    t = transpose_rule(c)
     violations = []
     checked = 0
     for m, n in blocks:
         pairs = (
             ("row", _row_lhs(c, m, n, p2, r), _row_lhs(c, m, n, p1, r)),
-            ("col", _col_lhs(c, m, n, p2, r), _col_lhs(c, m, n, p1, r)),
+            ("col", _row_lhs(t, n, m, p2, r), _row_lhs(t, n, m, p1, r)),
             ("mixed", double_block_p_norm(c, m, n, p2, r),
              double_block_p_norm(c, m, n, p1, r)),
         )
@@ -486,19 +459,14 @@ def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
     if r1 < 1 or r2 % r1 != 0:
         raise ValueError("r1 must divide r2")
     q = r2 // r1
-
-    def line_rule(m: int, n: int, axis: str) -> SequenceRule:
-        if axis == "row":
-            return SequenceRule(lambda js: c.values(js, n), real=c.real)
-        return SequenceRule(lambda ks: c.values(m, ks), real=c.real)
-
+    t = transpose_rule(c)
     violations = []
     checked = 0
     for m, n in blocks:
-        for axis, start, length in (("row", m, m), ("col", n, n)):
-            seq = line_rule(m, n, axis)
-            lhs = window_diff_p_norm(seq, start, length, p, r2)
-            chain = sum(window_diff_p_norm(seq, start + i * r1, length, p, r1)
+        for axis, rule, start, other in (("row", c, m, n), ("col", t, n, m)):
+            seq = SequenceRule(lambda js: rule.values(js, other), real=c.real)
+            lhs = window_diff_p_norm(seq, start, start, p, r2)
+            chain = sum(window_diff_p_norm(seq, start + i * r1, start, p, r1)
                         for i in range(q))
             checked += 1
             if not _leq(lhs, chain):
@@ -510,8 +478,7 @@ def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
             for i2 in range(q):
                 js = np.arange(m, 2 * m) + i * r1
                 ks = np.arange(n, 2 * n) + i2 * r1
-                d = np.abs(mixed_diff_values(c, js[:, None], ks[None, :], r1))
-                chain += float(np.sum(d**p) ** (1.0 / p))
+                chain += p_norm(mixed_diff_values(c, js[:, None], ks[None, :], r1), p)
         checked += 1
         if not _leq(lhs, chain):
             violations.append(EmbeddingViolation(m, n, "mixed", lhs, chain))

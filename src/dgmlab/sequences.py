@@ -11,6 +11,8 @@ back to the generic array path when a hint is absent.
 
 This module also provides the array step differences and the block
 p-norms that the class scanners and convergence checks are built from.
+Only the row difference is defined: the column difference of ``c`` is the
+row difference of ``transpose_rule(c)`` with the indices swapped.
 """
 
 from __future__ import annotations
@@ -138,14 +140,6 @@ def row_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
     return c.values(js, ks) - c.values(np.asarray(js) + r, ks)
 
 
-def col_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
-    """Difference along the column index: ``c[j,k] - c[j,k+r]``."""
-    if c.factors is not None:
-        u, v = c.factors
-        return u.values(js) * step_diff_values(v, ks, r)
-    return c.values(js, ks) - c.values(js, np.asarray(ks) + r)
-
-
 def mixed_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
     """Mixed difference, the row difference of the column difference:
     ``c[j,k] - c[j+r,k] - c[j,k+r] + c[j+r,k+r]``."""
@@ -166,6 +160,11 @@ def mixed_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
 # block p-norms
 
 
+def p_norm(d, p: float) -> float:
+    """``(sum |d|^p)^(1/p)`` over every entry of ``d``."""
+    return float(np.sum(np.abs(d) ** p) ** (1.0 / p))
+
+
 def block_p_norm(seq: SequenceRule, m: int, p: float, r: int) -> float:
     """``(sum_{k=m}^{2m-1} |a_k - a_{k+r}|^p)^(1/p)`` over one dyadic block."""
     if m < 1:
@@ -174,8 +173,7 @@ def block_p_norm(seq: SequenceRule, m: int, p: float, r: int) -> float:
         raise ValueError("p must be positive")
     if r < 1:
         raise ValueError("step r must be >= 1")
-    d = np.abs(step_diff_values(seq, np.arange(m, 2 * m), r))
-    return float(np.sum(d**p) ** (1.0 / p))
+    return p_norm(step_diff_values(seq, np.arange(m, 2 * m), r), p)
 
 
 def double_block_p_norm(c: DoubleSequenceRule, m: int, n: int, p: float, r: int) -> float:
@@ -195,8 +193,7 @@ def double_block_p_norm(c: DoubleSequenceRule, m: int, n: int, p: float, r: int)
         return block_p_norm(u, m, p, r) * block_p_norm(v, n, p, r)
     js = np.arange(m, 2 * m)[:, None]
     ks = np.arange(n, 2 * n)[None, :]
-    d = np.abs(mixed_diff_values(c, js, ks, r))
-    return float(np.sum(d**p) ** (1.0 / p))
+    return p_norm(mixed_diff_values(c, js, ks, r), p)
 
 
 def window_diff_p_norm(seq: SequenceRule, start: int, length: int, p: float, r: int) -> float:
@@ -207,8 +204,7 @@ def window_diff_p_norm(seq: SequenceRule, start: int, length: int, p: float, r: 
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
-    d = np.abs(step_diff_values(seq, np.arange(start, start + length), r))
-    return float(np.sum(d**p) ** (1.0 / p))
+    return p_norm(step_diff_values(seq, np.arange(start, start + length), r), p)
 
 
 # ---------------------------------------------------------------------------

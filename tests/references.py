@@ -1,0 +1,128 @@
+"""Code that the library replaced, kept as references that the
+replacements must equal bit for bit.
+
+* The direct column forms.  The library computes every column quantity
+  of a rule as the row quantity of ``transpose_rule(c)`` with the indices
+  swapped; ``symmetry_rules`` is the rule set the two are compared on.
+* The two frontier product maximisers that ``frontier_product_max``
+  replaced: the product remainder path's and the frontier bound's.
+"""
+
+import math
+
+import numpy as np
+
+from dgmlab.convergence import _suffix_max
+from dgmlab.counterexample import double_rule
+from dgmlab.membership import BoundFamily, BoundValue, _window_sums
+from dgmlab.sequences import (
+    additive_rule,
+    geometric_double_rule,
+    geometric_rule,
+    power_double_rule,
+    step_diff_values,
+    table_rule,
+)
+
+
+def symmetry_rules():
+    """Tables (complex, real, wider than tall, integer-valued with ties)
+    and the library's product and additive rules."""
+    rng = np.random.default_rng(31)
+    return [
+        table_rule(rng.normal(size=(13, 11)) + 1j * rng.normal(size=(13, 11)), "complex"),
+        table_rule(rng.normal(size=(40, 36)), "real"),
+        table_rule(rng.normal(size=(9, 30)), "wide"),
+        table_rule(rng.integers(-2, 3, size=(12, 25)).astype(float), "integer ties"),
+        geometric_double_rule(0.5),
+        power_double_rule(1.5),
+        double_rule(2.0),
+        additive_rule(geometric_rule(0.5), geometric_rule(0.5), "separable"),
+    ]
+
+
+def direct_col_diff_values(c, js, ks, r):
+    """Difference along the column index: ``c[j,k] - c[j,k+r]``."""
+    if c.factors is not None:
+        u, v = c.factors
+        return u.values(js) * step_diff_values(v, ks, r)
+    return c.values(js, ks) - c.values(js, np.asarray(ks) + r)
+
+
+def direct_col_lhs(c, m, n, p, r):
+    """Column-difference p-norm over the block ``[n, 2n)`` of row m."""
+    d = np.abs(direct_col_diff_values(c, m, np.arange(n, 2 * n), r))
+    return float(np.sum(d**p) ** (1.0 / p))
+
+
+def direct_col_bound(c, m, n, spec):
+    """Column-family bound at block start n, row m, scaled by 1/n."""
+    def abs_col(ks):
+        return np.abs(c.values(m, np.asarray(ks)))
+
+    if m < 1:
+        raise ValueError("fixed index must be >= 1")
+    if spec.family is BoundFamily.MEAN_VALUE:
+        if n < spec.lam:
+            raise ValueError(f"mean-value family needs block start >= lam={spec.lam}")
+        lo, hi = n // spec.lam, spec.lam * n
+        total = float(np.sum(abs_col(np.arange(lo, hi + 1))))
+        return BoundValue(total / n)
+
+    if spec.family is BoundFamily.MAX_WINDOW and n < spec.lam:
+        raise ValueError(f"max-window family needs block start >= lam={spec.lam}")
+    cap = spec.horizon_cap
+    lo = max(1, math.ceil(spec.anchor(n) - 1e-9))
+    if spec.family is BoundFamily.MAX_WINDOW:
+        hi = math.floor(spec.lam * spec.anchor(n) + 1e-9)
+    else:
+        hi = cap
+    clipped = hi > cap
+    hi = min(hi, cap)
+    if lo > hi:
+        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+    starts = np.arange(lo, hi + 1)
+    vals = abs_col(np.arange(lo, 2 * hi + 1))
+    sums = _window_sums(vals, lo, starts)
+    i = int(np.argmax(sums))
+    best = int(starts[i])
+    truncated = (clipped or spec.family is BoundFamily.SUP_WINDOW) and best == cap
+    return BoundValue(float(sums[i]) / n, maximizer=best, truncated=truncated)
+
+
+def profile_product_max(pu, pv, thresholds):
+    """The product remainder path's: max of pu[m-1] * pv[n-1] over m + n > t."""
+    ms = np.arange(1, pu.size + 1)
+    cap_n = pv.size
+    sv = _suffix_max(pv)
+    out = []
+    for t in thresholds:
+        lo_n = np.clip(t + 1 - ms, 1, cap_n + 1)
+        ok = lo_n <= cap_n
+        cand = np.where(ok, pu * sv[np.minimum(lo_n, cap_n) - 1], -np.inf)
+        i = int(np.argmax(cand))
+        if not np.isfinite(cand[i]):
+            out.append((0.0, 0, 0))
+            continue
+        a = int(lo_n[i])
+        n_star = a + int(np.argmax(pv[a - 1:]))
+        out.append((float(cand[i]), int(ms[i]), n_star))
+    return out
+
+
+def window_product_max(wu, wv, lo_sum):
+    """The frontier bound's: max of wu[M-1] * wv[N-1] over M + N >= lo_sum
+    on a square of side cap; None when the frontier is out of reach."""
+    cap = wu.size
+    if lo_sum > 2 * cap:
+        return None
+    starts = np.arange(1, cap + 1)
+    suf = np.maximum.accumulate(wv[::-1])[::-1]
+    n_lo = np.clip(lo_sum - starts, 1, cap + 1)
+    ok = n_lo <= cap
+    cand = np.where(ok, wu * suf[np.minimum(n_lo, cap) - 1], -np.inf)
+    i = int(np.argmax(cand))
+    best_m = int(starts[i])
+    a = int(n_lo[i])
+    best_n = a + int(np.argmax(wv[a - 1:]))
+    return float(wu[i] * wv[best_n - 1]), best_m, best_n

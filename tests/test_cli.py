@@ -177,6 +177,16 @@ class TestDecayCommand:
     def test_unknown_condition(self, tmp_path):
         assert run(tmp_path, "decay", "--condition", "bogus") == 3
 
+    @pytest.mark.parametrize("cond", ["row-tail", "col-tail"])
+    def test_zero_last_tail_without_envelope_is_inconclusive(self, tmp_path, capsys, cond):
+        # only the corner anchor (2048, 2048) reaches 4096, and its one-entry
+        # tail of the additive rule underflows to 0; the rule has no envelope
+        code = run(tmp_path, "decay", "--seq", "separable", "--condition", cond,
+                   "--horizon", "2048", "--thresholds", "16,64,256,1024,4096", "--no-plot")
+        out = capsys.readouterr().out
+        assert code == 2 and out.startswith(f"decay ({cond}): inconclusive "), out
+        assert "max_tail=[7808 7808 7808 7808 0]" in out
+
 
 class TestLogIntegralCommand:
     def test_single_evaluation(self, tmp_path):
@@ -490,8 +500,11 @@ class TestOutputDirectory:
 # Exit-code contract: random subcommands, flags and values at tiny sizes.
 # Each command starts with tiny sizes; the drawn flags come after them and
 # win, and every size they can set stays tiny (caps and horizons <= 64,
-# octaves <= 4, n-max <= 50, <= 5 kernel points).
+# octaves <= 4, n-max <= 50, <= 5 kernel points).  A drawn flag goes on
+# the command line or, as a ``key = value`` line, into a config file, where
+# it loses to the command line's tiny sizes.
 _ODD = ["0", "-1", "nan", "inf", "abc", ""]
+_ODD_CONFIG_LINES = ["bogus = 1", "help = 1", "# a comment", "just words", "single = maybe"]
 _SEQ = {"--seq": ["geometric", "power", "separable", "proposition", "table", "bogus"],
         "--ratio": ["0.5"], "--exponent": ["1.5"], "--seq-p": ["2", "1"],
         "--table-file": ["table.csv", "missing.csv"]}
@@ -543,23 +556,35 @@ def test_every_run_ends_in_a_documented_exit_code(fuzz_dir, data):
     argv = [command, *base]
     if command == "counterexample":
         argv.insert(1, data.draw(st.sampled_from(["certify", "ratio", "bogus"])))
-    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
-        values = flags[flag]
-        argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
+    drawn = [(flag, None if flags[flag] is None else data.draw(st.sampled_from(flags[flag])))
+             for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=5))]
     # at most one odd value, so that most runs get past the validators
     odd = data.draw(st.none() | st.sampled_from(sorted(f for f, v in flags.items() if v)))
     if odd is not None:
-        argv += [odd, data.draw(st.sampled_from(_ODD))]
-    argv += ["--no-plot"] * data.draw(st.booleans())
+        drawn.append((odd, data.draw(st.sampled_from(_ODD))))
+    drawn += [("--no-plot", None)] * data.draw(st.booleans())
+    lines = []
+    for flag, value in drawn:
+        if value in ("table.csv", "missing.csv"):
+            value = str(fuzz_dir / value)
+        if data.draw(st.booleans()):
+            argv += [flag] if value is None else [flag, value]
+        else:
+            switch = data.draw(st.sampled_from(["true", "false"]))
+            lines.append(f"{flag[2:]} = {switch if value is None else value}")
+    if data.draw(st.integers(0, 5)) == 0:
+        lines.append(data.draw(st.sampled_from(_ODD_CONFIG_LINES)))
+    if lines:
+        (fuzz_dir / "run.cfg").write_text("".join(f"{line}\n" for line in lines))
+        argv += ["--config", str(fuzz_dir / "run.cfg")]
     out = data.draw(st.sampled_from(["out"] * 4 + ["afile", "afile/sub"]))
-    argv = [str(fuzz_dir / a) if a in ("table.csv", "missing.csv") else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([*argv, "--out", str(fuzz_dir / out)])
-    assert code in (0, 1, 2, 3), argv
+    assert code in (0, 1, 2, 3), (argv, lines)
     # one line: the verdict on stdout, or the error on stderr
     printed, err = stdout.getvalue(), stderr.getvalue()
     if code == 3:
-        assert printed == "" and err.startswith("error:") and err.count("\n") == 1, argv
+        assert printed == "" and err.startswith("error:") and err.count("\n") == 1, (argv, lines)
     else:
-        assert printed.count("\n") == 1 and err == "", argv
+        assert printed.count("\n") == 1 and err == "", (argv, lines)

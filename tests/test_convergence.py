@@ -10,13 +10,17 @@ from dgmlab import convergence
 from dgmlab.convergence import (
     EXACT_GENERAL_CAP,
     ConvergenceVerdict,
+    DecayReport,
     DecayVerdict,
     GridSpec,
     _corner_ladder,
     _general_scan,
     _point_sups,
+    _point_sups_product,
+    _start_maxima,
     classify_decay,
     double_partial_sum,
+    frontier_product_max,
     frontier_samples,
     grid_points,
     jk_decay,
@@ -44,6 +48,7 @@ from dgmlab.sequences import (
     transpose_rule,
     zero_double_rule,
 )
+from references import profile_product_max, window_product_max
 
 REL = 1e-12
 
@@ -337,6 +342,65 @@ class TestPointSups:
         assert got == full_prefix_sampled_sups(c, 0.5, 2.0, [4, 100], (150, 140))
 
 
+def scan_point_sups_product(c, points, thresholds, caps):
+    """``_point_sups_product`` with its own maximiser."""
+    u, v = c.factors
+    ms, ns = np.arange(1, caps[0] + 1), np.arange(1, caps[1] + 1)
+    u_vals, v_vals = u.values(ms).real, v.values(ns).real
+    out = []
+    for x, y in points:
+        pu = _start_maxima(np.concatenate(([0.0], np.cumsum(u_vals * np.sin(ms * x)))))
+        pv = _start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
+        out.append(profile_product_max(pu, pv, thresholds))
+    return out
+
+
+class TestFrontierProductMax:
+    """One maximiser for the product remainder path and the frontier bound,
+    against the two it replaced, maximiser indices included."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            size_a, size_b = rng.integers(1, 12, size=2)
+            # small integers: products tie often
+            yield (rng.integers(0, 4, size=size_a).astype(float),
+                   rng.integers(0, 4, size=size_b).astype(float))
+        yield rng.uniform(size=9), rng.uniform(size=9)
+        yield np.zeros(5), np.ones(5)
+
+    def test_matches_the_profile_maximiser(self):
+        for a, b in self.pairs():
+            ts = list(range(0, a.size + b.size + 2))
+            got = [e if math.isfinite(e[0]) else (0.0, 0, 0)
+                   for e in frontier_product_max(a, b, [t + 1 for t in ts])]
+            assert got == profile_product_max(a, b, ts), (a, b)
+
+    def test_matches_the_window_maximiser(self):
+        for a, b in self.pairs():
+            b = np.resize(b, a.size)  # the frontier bound's square
+            for s in range(0, 2 * a.size + 3):
+                [(value, i, j)] = frontier_product_max(a, b, [s])
+                want = window_product_max(a, b, s)
+                assert (None if i == 0 else (value, i, j)) == want, (a, b, s)
+
+    def test_out_of_reach(self):
+        assert frontier_product_max(np.ones(3), np.ones(4), [8, 7]) == [(-math.inf, 0, 0),
+                                                                      (1.0, 3, 4)]
+
+    def test_product_path_matches_its_own_maximiser(self):
+        rng = np.random.default_rng(61)
+        ties = [rule_from_values(rng.integers(-2, 3, size=n).astype(float)) for n in (9, 14)]
+        rules = [geometric_double_rule(0.5), power_double_rule(1.0),
+                 product_rule(ties[0], ties[1]), product_rule(ties[1], ties[0])]
+        points = [(0.9, 1.7), (2.0943951023931953, 2.0943951023931953), (3.0, 0.2)]
+        for c in rules:
+            for caps, ts in [((16, 16), [1, 4, 9, 20]), ((12, 7), [2, 5, 18])]:
+                assert (_point_sups_product(c, points, ts, caps)
+                        == scan_point_sups_product(c, points, ts, caps)), c.label
+
+
 class TestRemainderProfile:
     def test_zero_sequence_converging(self):
         prof = regular_remainder_sup(zero_double_rule(), GridSpec(r=1, points_per_band=2),
@@ -458,6 +522,14 @@ class TestDecayReports:
         tail_decay_report(fn, [16, 64], horizon=256)
         assert calls == [frontier_samples(256, min_index=2)]
 
+    @pytest.mark.parametrize("tails", [[7808.0, 7808.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
+    def test_zero_last_tail_needs_a_conclusive_report(self, tails):
+        for trend in (math.nan, -50.0):
+            rep = DecayReport([], [16, 64, 256], tails, trend, conclusive=False)
+            assert classify_decay(rep) is DecayVerdict.INCONCLUSIVE
+            rep = dataclasses.replace(rep, conclusive=True)
+            assert classify_decay(rep) is DecayVerdict.DECAYING
+
 
 # one-anchor calls of the batched tails
 
@@ -488,7 +560,7 @@ class TestTailSups:
         assert est.conclusive and est.residual < 1e-30
         # closed form: inner tail is 2^-j * 2^(1-n); the weight peaks at j=3,
         # so from m=4 on the sup sits at the block start
-        assert est.maximizer == 4
+        assert rel_close(est.value, 4 * math.log(4) * sum(0.5 ** (4 + k) for k in range(3, 201)))
 
     def test_inverse_square_conclusive_and_decaying(self):
         c = power_double_rule(2.0)
@@ -533,7 +605,7 @@ class TestProductTailPaths:
             a = row_tail(fast, m, n, horizon)
             b = row_tail(slow, m, n, horizon)
             assert rel_close(a.value, b.value)
-            assert a.maximizer == b.maximizer and a.residual == b.residual
+            assert a.residual == b.residual
 
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_mixed_diff_tail(self, imag):
@@ -603,7 +675,7 @@ def loop_mixed_diff_tail(c, p, r, m, n, horizon, chunk=256):
 
 
 def loop_row_tail(c, m, n, horizon, chunk=256):
-    """(value, maximizer) of the weighted row tail, one row chunk at a time."""
+    """The weighted row tail, one row chunk at a time."""
     js = np.arange(m, horizon + 1, dtype=np.int64)
     k_hi = horizon if c.support is None else min(horizon, c.support[1])
     tails = np.zeros(js.size)
@@ -612,8 +684,7 @@ def loop_row_tail(c, m, n, horizon, chunk=256):
         for i in range(0, js.size, chunk):
             tails[i:i + chunk] = np.sum(np.abs(c.values(js[i:i + chunk, None], ks)), axis=1)
     weighted = js * np.log(js) * tails
-    i = int(np.argmax(weighted))
-    return float(weighted[i]), int(js[i])
+    return float(weighted[int(np.argmax(weighted))])
 
 
 def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
@@ -669,7 +740,7 @@ class TestBatchedMixedDiffTail:
             for i in picked:
                 m, n = anchors[i]
                 assert got[i] == loop_mixed_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
-                assert (rows[i].value, rows[i].maximizer) == loop_row_tail(c, m, n, horizon)
+                assert rows[i].value == loop_row_tail(c, m, n, horizon)
                 assert diffs[i] == loop_row_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
 
     def test_every_anchor_with_a_small_window(self, monkeypatch):
@@ -682,7 +753,7 @@ class TestBatchedMixedDiffTail:
             got = mixed_diff_tails(c, 1.5, 2, anchors, horizon)
             want = [loop_mixed_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
             assert got == want, c.label
-            got = [(e.value, e.maximizer) for e in row_tail_sups(c, anchors, horizon)]
+            got = [e.value for e in row_tail_sups(c, anchors, horizon)]
             assert got == [loop_row_tail(c, m, n, horizon, chunk=7) for m, n in anchors], c.label
             got = row_diff_tail_sups(c, 1.5, 2, anchors, horizon)
             want = [loop_row_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
@@ -691,8 +762,7 @@ class TestBatchedMixedDiffTail:
     def test_single_anchor_function_agrees(self):
         c = self.rules()[3]
         assert mixed_diff_tail(c, 1.5, 2, 7, 300, 400) == loop_mixed_diff_tail(c, 1.5, 2, 7, 300, 400)
-        est = row_tail(c, 7, 30, 400)
-        assert (est.value, est.maximizer) == loop_row_tail(c, 7, 30, 400)
+        assert row_tail(c, 7, 30, 400).value == loop_row_tail(c, 7, 30, 400)
         assert row_diff_tail(c, 1.5, 2, 7, 30, 400) == loop_row_diff_tail(c, 1.5, 2, 7, 30, 400)
 
     @pytest.mark.parametrize("tail, per_entry", [

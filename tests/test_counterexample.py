@@ -20,6 +20,7 @@ from dgmlab.counterexample import (
     violation_ratio,
 )
 from dgmlab.membership import BoundFamily, BoundSpec, Verdict, membership_scan
+from references import direct_col_bound
 
 REL = 1e-12
 
@@ -144,6 +145,27 @@ class TestViolationRatio:
         slope = np.polyfit(np.log2([2**t for t in range(4, 13)]), np.log2(ratios), 1)[0]
         assert slope < 0.05
         assert max(ratios) < 10 * min(ratios)
+
+    def test_equals_the_direct_column_ratio(self):
+        """The transposed row bound against the direct column bound, bit for bit."""
+        def direct(m, n, p, spec, q, restricted):
+            ks = np.arange(n, 2 * n, dtype=np.int64)
+            diffs = np.abs(single_values(ks, p) - single_values(ks + 3, p)) * single_term(m, p)
+            if restricted:
+                diffs = diffs[ks % 6 == 3]
+            lhs = float(np.sum(diffs**q) ** (1.0 / q))
+            rhs = direct_col_bound(double_rule(p), m, n, spec)
+            return lhs / rhs.value if rhs.value > 0 else math.inf if lhs > 0 else 0.0
+
+        specs = [BoundSpec(BoundFamily.MAX_WINDOW, lam=2),
+                 BoundSpec(BoundFamily.MEAN_VALUE, lam=3),
+                 BoundSpec(BoundFamily.SUP_WINDOW, lam=1, horizon_cap=1 << 10),
+                 BoundSpec(BoundFamily.MAX_WINDOW, lam=2, horizon_cap=64)]
+        for spec in specs:
+            for m, n in [(1, 16), (16, 64), (5, 256), (16, 1024)]:
+                for p, q, restricted in [(2.0, 1.0, False), (1.5, 1.5, True), (3.0, 2.0, False)]:
+                    assert (violation_ratio(m, n, p, spec, q, restricted)
+                            == direct(m, n, p, spec, q, restricted)), (spec, m, n, p)
 
 
 class TestClassDichotomy:

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmlab import membership
 from dgmlab.membership import (
     BoundFamily,
     BoundSpec,
     BoundValue,
     Verdict,
     _frontier_sup,
+    _row_lhs,
+    _window_sums,
     divisor_embedding_check,
     embedding_check,
     gm_membership_scan,
     membership_scan,
-    rhs_col_bound,
     rhs_mixed_bound,
     rhs_row_bound,
 )
 from dgmlab.sequences import (
+    SequenceRule,
     constant_rule,
     geometric_double_rule,
     geometric_rule,
@@ -27,7 +30,15 @@ from dgmlab.sequences import (
     product_rule,
     rule_from_values,
     table_rule,
+    transpose_rule,
+    window_diff_p_norm,
     zero_double_rule,
+)
+from references import (
+    direct_col_bound,
+    direct_col_lhs,
+    symmetry_rules,
+    window_product_max,
 )
 
 REL = 1e-12
@@ -48,6 +59,11 @@ def max_window(lam=2, b=None, cap=1 << 12):
 
 def sup_window(b=None, cap=1 << 12):
     return BoundSpec(BoundFamily.SUP_WINDOW, lam=1, b=b, horizon_cap=cap)
+
+
+def rhs_col_bound(c, m, n, spec):
+    """The column bound: the row bound of the transposed rule."""
+    return rhs_row_bound(transpose_rule(c), n, m, spec)
 
 
 class TestBoundSpec:
@@ -128,6 +144,59 @@ class TestColBound:
 
     def test_zero(self):
         assert rhs_col_bound(zero_double_rule(), 1, 4, max_window()).value == 0.0
+
+
+class TestTransposedColumnForms:
+    """The column forms through ``transpose_rule`` against the direct
+    column code, bit for bit."""
+
+    SPECS = [mean_value(2), mean_value(3), max_window(2), max_window(3, cap=64),
+             max_window(2, b=lambda l: float(l), cap=8), sup_window(cap=64),
+             sup_window(b=lambda l: float(l), cap=32)]
+
+    @pytest.mark.parametrize("c", symmetry_rules(), ids=lambda c: c.label)
+    def test_bound_and_lhs(self, c):
+        t = transpose_rule(c)
+        for m, n in [(3, 3), (3, 7), (8, 4), (16, 16), (5, 40)]:
+            for spec in self.SPECS:
+                assert rhs_row_bound(t, n, m, spec) == direct_col_bound(c, m, n, spec), \
+                    (c.label, m, n, spec)
+            for p in (0.7, 1.0, 1.5, 3.0):
+                for r in (1, 2, 3):
+                    assert _row_lhs(t, n, m, p, r) == direct_col_lhs(c, m, n, p, r), \
+                        (c.label, m, n, p, r)
+
+    @pytest.mark.parametrize("c", symmetry_rules(), ids=lambda c: c.label)
+    def test_scans_read_the_column_forms(self, c, monkeypatch):
+        blocks = [(3, 7), (8, 4), (5, 40)]
+        spec = max_window(2)
+        cols = [e for e in membership_scan(c, 1.5, 2, spec, blocks).per_block if e.axis == "col"]
+        assert [(e.lhs, e.rhs) for e in cols] == [
+            (direct_col_lhs(c, m, n, 1.5, 2), direct_col_bound(c, m, n, spec).value)
+            for m, n in blocks]
+        # the embedding checks report only violations: record every comparison
+        seen = []
+        monkeypatch.setattr(membership, "_leq", lambda a, b: seen.append((a, b)) or True)
+        embedding_check(c, 2, 1.0, 2.5, blocks)
+        assert seen[1::3] == [(direct_col_lhs(c, m, n, 2.5, 2), direct_col_lhs(c, m, n, 1.0, 2))
+                              for m, n in blocks]
+        seen.clear()
+        divisor_embedding_check(c, 1.5, 1, 3, blocks)
+        want = []
+        for m, n in blocks:
+            col = SequenceRule(lambda ks: c.values(m, ks), real=c.real)
+            want.append((window_diff_p_norm(col, n, n, 1.5, 3),
+                         sum(window_diff_p_norm(col, n + i, n, 1.5, 1) for i in range(3))))
+        assert seen[1::3] == want
+
+    def test_truncated_and_inconclusive_bounds(self):
+        c = geometric_double_rule(0.5)
+        spec = sup_window(b=lambda l: float(l), cap=16)
+        got = rhs_col_bound(c, 1, 64, spec)
+        assert got == direct_col_bound(c, 1, 64, spec) and not got.conclusive
+        ones = product_rule(constant_rule(1.0), constant_rule(1.0))
+        got = rhs_col_bound(ones, 2, 2, sup_window(cap=64))
+        assert got == direct_col_bound(ones, 2, 2, sup_window(cap=64)) and got.truncated
 
 
 class TestMixedBound:
@@ -226,6 +295,42 @@ def square_frontier_sup(c, lo_sum, cap):
     best = (int(ms[i]), int(ns[j]))
     truncated = (cap < jmax and best[0] == m_hi) or (cap < kmax and best[1] == n_hi)
     return BoundValue(float(w[i, j]), maximizer=best, truncated=truncated)
+
+
+def window_product_frontier_sup(c, lo_sum, cap):
+    """The product branch of ``_frontier_sup`` with its own frontier
+    maximiser: the reference for the shared one."""
+    u, v = c.factors
+    starts = np.arange(1, cap + 1)
+    wu = _window_sums(np.abs(u.values(np.arange(1, 2 * cap + 1))), 1, starts)
+    wv = _window_sums(np.abs(v.values(np.arange(1, 2 * cap + 1))), 1, starts)
+    best = window_product_max(wu, wv, lo_sum)
+    if best is None:
+        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+    value, best_m, best_n = best
+    return BoundValue(value, maximizer=(best_m, best_n),
+                      truncated=best_m == cap or best_n == cap)
+
+
+class TestFrontierProductBranch:
+    """The shared frontier maximiser against the product branch's own."""
+
+    @staticmethod
+    def rules():
+        rng = np.random.default_rng(43)
+        ties = [rule_from_values(rng.integers(0, 3, size=size).astype(float))
+                for size in (7, 30)]
+        return [geometric_double_rule(0.5), product_rule(power_rule(1.0), geometric_rule(0.7)),
+                product_rule(ties[0], ties[1]), product_rule(ties[1], ties[0]),
+                product_rule(constant_rule(1.0), constant_rule(1.0)),
+                product_rule(constant_rule(0.0), ties[1])]
+
+    def test_matches_the_branch_maximiser(self):
+        for c in self.rules():
+            for cap in (1, 2, 5, 16, 40):
+                for lo_sum in (2, 3, 4, 9, 17, 31, 2 * cap, 2 * cap + 1, 100):
+                    assert (_frontier_sup(c, lo_sum, cap)
+                            == window_product_frontier_sup(c, lo_sum, cap)), (c.label, cap, lo_sum)
 
 
 class TestFrontierSupportBox:

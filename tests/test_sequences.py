@@ -9,7 +9,6 @@ from dgmlab.sequences import (
     DoubleSequenceRule,
     additive_rule,
     block_p_norm,
-    col_diff_values,
     constant_rule,
     double_block_p_norm,
     geometric_double_rule,
@@ -25,6 +24,7 @@ from dgmlab.sequences import (
     transpose_rule,
     window_diff_p_norm,
 )
+from references import direct_col_diff_values, symmetry_rules
 
 REL = 1e-12
 ABS = 1e-14
@@ -51,6 +51,22 @@ def col_diff(c, j, k, r):
 
 def mixed_diff(c, j, k, r):
     return c.eval(j, k) - c.eval(j + r, k) - c.eval(j, k + r) + c.eval(j + r, k + r)
+
+
+def col_diff_values(c, js, ks, r):
+    """The column difference: the row difference of the transposed rule."""
+    return row_diff_values(transpose_rule(c), ks, js, r)
+
+
+@pytest.mark.parametrize("c", symmetry_rules(), ids=lambda c: c.label)
+def test_col_diff_is_the_transposed_row_diff(c):
+    """The transposed form against the direct column difference, bit for bit."""
+    for js, ks in [(np.arange(1, 15)[:, None], np.arange(1, 33)[None, :]),
+                   (5, np.arange(3, 40)), (np.arange(2, 9), 4), (7, 2)]:
+        for r in (1, 2, 3):
+            got = col_diff_values(c, js, ks, r)
+            want = direct_col_diff_values(c, js, ks, r)
+            assert got.shape == want.shape and np.all(got == want), (c.label, r)
 
 
 def test_step_diff_linear_rule():
