@@ -8,6 +8,7 @@ and the explicit divergence example with its certificate.
 """
 
 from .convergence import (
+    DECAY_CONDITIONS,
     ConvergenceVerdict,
     DecayReport,
     DecayVerdict,
@@ -15,11 +16,10 @@ from .convergence import (
     RemainderProfile,
     TailEstimate,
     classify_decay,
+    decay_report,
     double_partial_sum,
     grid_points,
-    jk_decay,
     log_integral_bound,
-    loglog_decay,
     mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,

@@ -30,21 +30,17 @@ import numpy as np
 
 from . import counterexample as cex
 from .convergence import (
+    DECAY_CONDITIONS,
     ConvergenceVerdict,
     DecaySample,
     DecayVerdict,
     GridSpec,
     ProfileEntry,
     classify_decay,
-    jk_decay,
+    decay_report,
     log_integral_bound,
-    loglog_decay,
-    mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
-    row_diff_tail_sups,
-    row_tail_sups,
-    tail_decay_report,
 )
 from .kernels import HalfBandSweep, direct_sine_sum, kernel_bound_sweep, sbp_decompose
 from .membership import (
@@ -67,7 +63,6 @@ from .sequences import (
     power_double_rule,
     power_rule,
     table_rule,
-    transpose_rule,
 )
 
 EXIT_PASS = 0
@@ -397,36 +392,14 @@ def _run_converge(args: argparse.Namespace) -> _Run:
                 {"profile.svg": plot} if entries else {})
 
 
-_TAIL_CONDITIONS = ("row-tail", "col-tail", "mixed-diff-tail",
-                    "row-diff-tail", "col-diff-tail")
-
-
 def _run_decay(args: argparse.Namespace) -> _Run:
     c = _double_rule(args)
     condition = args.condition
-    thresholds = args.thresholds
     horizon = _cap("horizon", args.horizon)
-    if condition == "jk":
-        report = jk_decay(c, thresholds, horizon)
-    elif condition == "loglog":
-        report = loglog_decay(c, thresholds, horizon)
-    else:
-        p = _positive("p", args.p)
-        r = _step("r", args.r)
-
-        def fn(anchors: list[tuple[int, int]]) -> tuple[list[float], bool]:
-            if condition == "mixed-diff-tail":
-                return mixed_diff_tails(c, p, r, anchors, horizon), True
-            # the col-* conditions are the row-* ones on the transposed rule
-            rule, at = c, anchors
-            if condition.startswith("col-"):
-                rule, at = transpose_rule(c), [(n, m) for m, n in anchors]
-            if condition.endswith("diff-tail"):
-                return row_diff_tail_sups(rule, p, r, at, horizon), True
-            ests = row_tail_sups(rule, at, horizon)
-            return [e.value for e in ests], all(e.conclusive for e in ests)
-
-        report = tail_decay_report(fn, thresholds, horizon)
+    p, r = args.p, args.r
+    if condition.endswith("tail"):  # only the tail conditions read p and r
+        p, r = _positive("p", p), _step("r", r)
+    report = decay_report(c, condition, args.thresholds, horizon, p, r)
     verdict = classify_decay(report)
     tails = " ".join(f"{t:.4g}" for t in report.max_tail)
     return _Run(f"decay ({condition}): {verdict.value} max_tail=[{tails}] "
@@ -578,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("decay", "decay/tail condition report", _run_decay)
     _add_seq_flags(sp)
-    sp.add_argument("--condition", choices=["jk", "loglog", *_TAIL_CONDITIONS], default="jk",
+    sp.add_argument("--condition", choices=DECAY_CONDITIONS, default="jk",
                     help="decay or tail condition")
     sp.add_argument("--thresholds", type=_int_list, default="16,64,256,1024,4096",
                     help="index-sum thresholds")

@@ -26,6 +26,7 @@ from .sequences import (
     mixed_diff_values,
     row_diff_values,
     step_diff_values,
+    transpose_rule,
 )
 
 # Verdict tolerances: sup below TOL_CONVERGE at the largest threshold and
@@ -418,13 +419,12 @@ class DecayReport:
     conclusive: bool = True
 
 
-def frontier_samples(horizon: int, min_index: int = 1) -> list[tuple[int, int]]:
-    """Log-spaced (m, n) anchors along the paths m=n, m=2n, n=2m and the
-    axis-pinned paths, with small offsets so every residue class mod 6 is
-    hit on the diagonal."""
-    base_floor = max(min_index, 2)
+def frontier_samples(horizon: int) -> list[tuple[int, int]]:
+    """Log-spaced (m, n) anchors from index 2 along the paths m=n, m=2n,
+    n=2m and the axis-pinned paths, with small offsets so every residue
+    class mod 6 is hit on the diagonal."""
     ladder = []
-    b = base_floor
+    b = 2
     while b <= horizon:
         ladder.append(b)
         b *= 2
@@ -432,8 +432,8 @@ def frontier_samples(horizon: int, min_index: int = 1) -> list[tuple[int, int]]:
     for b in ladder:
         for d in range(6):
             s = b + d
-            for m, n in ((s, s), (2 * s, s), (s, 2 * s), (s, base_floor), (base_floor, s)):
-                if min_index <= m <= horizon and min_index <= n <= horizon:
+            for m, n in ((s, s), (2 * s, s), (s, 2 * s), (s, 2), (2, s)):
+                if m <= horizon and n <= horizon:
                     pts.add((m, n))
     return sorted(pts)
 
@@ -466,28 +466,6 @@ def _build_decay_report(samples: list[tuple[int, int]], values: np.ndarray,
     return DecayReport(out, ts, tails, trend, conclusive)
 
 
-def jk_decay(c: DoubleSequenceRule, thresholds: Sequence[int],
-             horizon: int = 1 << 14) -> DecayReport:
-    """Sample ``j * k * |c_jk|`` along the frontier paths."""
-    samples = frontier_samples(horizon, min_index=1)
-    ts = _decay_thresholds(samples, thresholds)
-    ms = np.array([m for m, _ in samples], dtype=np.int64)
-    ns = np.array([n for _, n in samples], dtype=np.int64)
-    values = ms * ns * np.abs(c.values(ms, ns))
-    return _build_decay_report(samples, values, ts, conclusive=True)
-
-
-def loglog_decay(c: DoubleSequenceRule, thresholds: Sequence[int],
-                 horizon: int = 1 << 14) -> DecayReport:
-    """Sample ``m * n * ln(m) * ln(n) * |c_mn|``; indices start at 2."""
-    samples = frontier_samples(horizon, min_index=2)
-    ts = _decay_thresholds(samples, thresholds)
-    ms = np.array([m for m, _ in samples], dtype=np.int64)
-    ns = np.array([n for _, n in samples], dtype=np.int64)
-    values = ms * ns * np.log(ms) * np.log(ns) * np.abs(c.values(ms, ns))
-    return _build_decay_report(samples, values, ts, conclusive=True)
-
-
 def classify_decay(report: DecayReport) -> DecayVerdict:
     """Three-valued reading of a decay report's tail trajectory."""
     first, last = report.max_tail[0], report.max_tail[-1]
@@ -509,9 +487,9 @@ def classify_decay(report: DecayReport) -> DecayVerdict:
 class TailEstimate:
     """A truncated tail value with its truncation residual bound.
 
-    ``conclusive`` is False when the rule carries no usable decay
-    envelope, or the horizon is too small for the envelope to control
-    what lies beyond it.
+    ``conclusive`` is False when the rule's support does not lie inside
+    the horizon and it carries no usable decay envelope, or the horizon
+    is too small for the envelope to control what lies beyond it.
     """
 
     value: float
@@ -572,8 +550,9 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
 
     Each row sum runs over [n, min(H, K)], K the support width, as one
     contiguous reduction.  The residual bound covers both the truncated
-    inner k-tail and the unscanned j > H part; it needs a tail envelope on
-    the rule.  ``col-tail`` is this on the transposed rule.
+    inner k-tail and the unscanned j > H part: it is 0 when the support
+    lies inside the horizon, and otherwise needs a tail envelope on the
+    rule.  ``col-tail`` is this on the transposed rule.
     """
     _check_tail_args(anchors, horizon)
     if any(m < 2 for m, _ in anchors):
@@ -590,13 +569,14 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
             i = j - anchors[a][0]
             tails[a][i:i + len(block)] = np.sum(block, axis=1)
     env, h1 = c.tail, horizon + 1.0
+    exact = c.support is not None and max(c.support) <= horizon
     out = []
     for (m, n), tail in zip(anchors, tails):
         js = np.arange(m, horizon + 1, dtype=np.int64)
         w = js * np.log(js)
         weighted = w * tail
-        residual = math.inf
-        if env is not None:
+        residual = 0.0 if exact else math.inf
+        if env is not None and not exact:
             resid_beyond = math.inf
             if _weight_is_decreasing(env.kind, env.a_j, h1):
                 resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
@@ -656,18 +636,46 @@ def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
             for (m, n), s in zip(anchors, sums)]
 
 
-def tail_decay_report(fn: Callable[[list[tuple[int, int]]], tuple[Sequence[float], bool]],
-                      thresholds: Sequence[int], horizon: int) -> DecayReport:
-    """Sample a tail quantity over the frontier anchors from index 2 and report it.
+DECAY_CONDITIONS = ("jk", "loglog", "row-tail", "col-tail", "mixed-diff-tail",
+                    "row-diff-tail", "col-diff-tail")
 
-    ``fn`` maps the list of anchors (m, n) to their values and whether all
-    of them are conclusive; it is called only after the thresholds are
-    checked.
+
+def decay_report(c: DoubleSequenceRule, condition: str, thresholds: Sequence[int],
+                 horizon: int, p: float = 2.0, r: int = 1) -> DecayReport:
+    """Sample one of ``DECAY_CONDITIONS`` over the frontier anchors and report it.
+
+    ``jk`` and ``loglog`` weigh ``|c_mn|`` by ``m * n`` and
+    ``m * n * ln(m) * ln(n)``; the tail conditions are the batched tails
+    above, and the ``col-*`` ones are the ``row-*`` ones on the transposed
+    rule with the anchors swapped.  ``p`` and ``r`` serve the diff tails.
+    The thresholds are checked before any value is computed.  The diff
+    tails bound no truncation residual yet and count as conclusive.
     """
-    anchors = frontier_samples(horizon, min_index=2)
+    if condition not in DECAY_CONDITIONS:
+        raise ValueError(f"unknown decay condition {condition!r}")
+    anchors = frontier_samples(horizon)
     ts = _decay_thresholds(anchors, thresholds)
-    vals, conclusive = fn(anchors)
-    return _build_decay_report(anchors, np.asarray(vals, float), ts, conclusive)
+    conclusive = True
+    if condition in ("jk", "loglog"):
+        ms = np.array([m for m, _ in anchors], dtype=np.int64)
+        ns = np.array([n for _, n in anchors], dtype=np.int64)
+        weight = ms * ns
+        if condition == "loglog":
+            weight = weight * np.log(ms) * np.log(ns)
+        values = weight * np.abs(c.values(ms, ns))
+    elif condition == "mixed-diff-tail":
+        values = mixed_diff_tails(c, p, r, anchors, horizon)
+    else:
+        rule, at = c, anchors
+        if condition.startswith("col-"):
+            rule, at = transpose_rule(c), [(n, m) for m, n in anchors]
+        if condition.endswith("diff-tail"):
+            values = row_diff_tail_sups(rule, p, r, at, horizon)
+        else:
+            ests = row_tail_sups(rule, at, horizon)
+            values = [e.value for e in ests]
+            conclusive = all(e.conclusive for e in ests)
+    return _build_decay_report(anchors, np.asarray(values, float), ts, conclusive)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,23 @@ replacements must equal bit for bit.
   swapped; ``symmetry_rules`` is the rule set the two are compared on.
 * The two frontier product maximisers that ``frontier_product_max``
   replaced: the product remainder path's and the frontier bound's.
+* The decay reports that ``decay_report`` replaced: ``jk_decay``,
+  ``loglog_decay``, and the CLI's dispatch of the tail conditions through
+  ``tail_decay_report``.
 """
 
 import math
 
 import numpy as np
 
-from dgmlab.convergence import _suffix_max
+from dgmlab.convergence import (
+    _build_decay_report,
+    _decay_thresholds,
+    _suffix_max,
+    mixed_diff_tails,
+    row_diff_tail_sups,
+    row_tail_sups,
+)
 from dgmlab.counterexample import double_rule
 from dgmlab.membership import BoundFamily, BoundValue, _window_sums
 from dgmlab.sequences import (
@@ -22,6 +32,7 @@ from dgmlab.sequences import (
     power_double_rule,
     step_diff_values,
     table_rule,
+    transpose_rule,
 )
 
 
@@ -126,3 +137,71 @@ def window_product_max(wu, wv, lo_sum):
     a = int(n_lo[i])
     best_n = a + int(np.argmax(wv[a - 1:]))
     return float(wu[i] * wv[best_n - 1]), best_m, best_n
+
+
+def frontier_samples(horizon, min_index=1):
+    """The frontier anchors with their ``min_index`` knob."""
+    base_floor = max(min_index, 2)
+    ladder = []
+    b = base_floor
+    while b <= horizon:
+        ladder.append(b)
+        b *= 2
+    pts = set()
+    for b in ladder:
+        for d in range(6):
+            s = b + d
+            for m, n in ((s, s), (2 * s, s), (s, 2 * s), (s, base_floor), (base_floor, s)):
+                if min_index <= m <= horizon and min_index <= n <= horizon:
+                    pts.add((m, n))
+    return sorted(pts)
+
+
+def jk_decay(c, thresholds, horizon=1 << 14):
+    """Sample ``j * k * |c_jk|`` along the frontier paths."""
+    samples = frontier_samples(horizon, min_index=1)
+    ts = _decay_thresholds(samples, thresholds)
+    ms = np.array([m for m, _ in samples], dtype=np.int64)
+    ns = np.array([n for _, n in samples], dtype=np.int64)
+    values = ms * ns * np.abs(c.values(ms, ns))
+    return _build_decay_report(samples, values, ts, conclusive=True)
+
+
+def loglog_decay(c, thresholds, horizon=1 << 14):
+    """Sample ``m * n * ln(m) * ln(n) * |c_mn|``; indices start at 2."""
+    samples = frontier_samples(horizon, min_index=2)
+    ts = _decay_thresholds(samples, thresholds)
+    ms = np.array([m for m, _ in samples], dtype=np.int64)
+    ns = np.array([n for _, n in samples], dtype=np.int64)
+    values = ms * ns * np.log(ms) * np.log(ns) * np.abs(c.values(ms, ns))
+    return _build_decay_report(samples, values, ts, conclusive=True)
+
+
+def tail_decay_report(fn, thresholds, horizon):
+    """Sample a tail quantity ``fn(anchors) -> (values, conclusive)`` over
+    the frontier anchors from index 2."""
+    anchors = frontier_samples(horizon, min_index=2)
+    ts = _decay_thresholds(anchors, thresholds)
+    vals, conclusive = fn(anchors)
+    return _build_decay_report(anchors, np.asarray(vals, float), ts, conclusive)
+
+
+def decay_dispatch(c, condition, thresholds, horizon, p=2.0, r=1):
+    """The CLI's choice of report and reducer per decay condition."""
+    if condition == "jk":
+        return jk_decay(c, thresholds, horizon)
+    if condition == "loglog":
+        return loglog_decay(c, thresholds, horizon)
+
+    def fn(anchors):
+        if condition == "mixed-diff-tail":
+            return mixed_diff_tails(c, p, r, anchors, horizon), True
+        rule, at = c, anchors
+        if condition.startswith("col-"):
+            rule, at = transpose_rule(c), [(n, m) for m, n in anchors]
+        if condition.endswith("diff-tail"):
+            return row_diff_tail_sups(rule, p, r, at, horizon), True
+        ests = row_tail_sups(rule, at, horizon)
+        return [e.value for e in ests], all(e.conclusive for e in ests)
+
+    return tail_decay_report(fn, thresholds, horizon)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgmlab.cli import _octave_starts, build_parser, main
+from dgmlab.convergence import DECAY_CONDITIONS
 from dgmlab.sequences import HORIZON_LIMIT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -528,8 +529,7 @@ _FUZZ = {
                   "--exclusion": ["1e-6", "0.5"], "--thresholds": ["8,16", "16,8", "64"],
                   "--cap": ["8", "64"], "--at-rational": ["1,1", "2,1"]}),
     "decay": (["--horizon", "64", "--thresholds", "8,16"],
-              {**_SEQ, "--condition": ["jk", "loglog", "row-tail", "col-tail",
-                                       "mixed-diff-tail", "row-diff-tail", "col-diff-tail"],
+              {**_SEQ, "--condition": list(DECAY_CONDITIONS),
                "--thresholds": ["8,16", "16,8", "4096"], "--horizon": ["16", "64"],
                "--p": ["2"], "--r": ["1", "2"]}),
     "log-integral": ([], {"--n": ["10"], "--N": ["100"], "--p": ["1", "3"]}),

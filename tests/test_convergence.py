@@ -8,6 +8,7 @@ import pytest
 
 from dgmlab import convergence
 from dgmlab.convergence import (
+    DECAY_CONDITIONS,
     EXACT_GENERAL_CAP,
     ConvergenceVerdict,
     DecayReport,
@@ -19,20 +20,19 @@ from dgmlab.convergence import (
     _point_sups_product,
     _start_maxima,
     classify_decay,
+    decay_report,
     double_partial_sum,
     frontier_product_max,
     frontier_samples,
     grid_points,
-    jk_decay,
     log_integral_bound,
-    loglog_decay,
     mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
     row_diff_tail_sups,
     row_tail_sups,
-    tail_decay_report,
 )
+from dgmlab.counterexample import double_rule
 from dgmlab.sequences import (
     DoubleSequenceRule,
     mixed_diff_values,
@@ -48,7 +48,7 @@ from dgmlab.sequences import (
     transpose_rule,
     zero_double_rule,
 )
-from references import profile_product_max, window_product_max
+from references import decay_dispatch, profile_product_max, window_product_max
 
 REL = 1e-12
 
@@ -419,7 +419,7 @@ class TestRemainderProfile:
     def test_monotone_jk_decay_implies_converging(self):
         # monotone nonnegative with jk * c_jk -> 0 must profile as converging
         c = power_double_rule(2.0)
-        rep = jk_decay(c, [64, 256, 1024])
+        rep = decay_report(c, "jk", [64, 256, 1024], 1 << 14)
         assert classify_decay(rep) is DecayVerdict.DECAYING
         prof = regular_remainder_sup(c, GridSpec(r=1, points_per_band=2),
                                      [512, 1024, 2048, 4096], (8192, 8192))
@@ -465,13 +465,13 @@ class TestRationalPoint:
 
 class TestDecayReports:
     def test_fast_decay_closed_form(self):
-        rep = jk_decay(power_double_rule(2.0), [16, 64, 256, 1024])
+        rep = decay_report(power_double_rule(2.0), "jk", [16, 64, 256, 1024], 1 << 14)
         # values are 1/(jk); the tail max sits on the axis-pinned path (2, n)
         assert classify_decay(rep) is DecayVerdict.DECAYING
         assert all(a >= b for a, b in zip(rep.max_tail, rep.max_tail[1:]))
 
     def test_constant_values_not_decaying(self):
-        rep = jk_decay(power_double_rule(1.0), [16, 64, 256, 1024])
+        rep = decay_report(power_double_rule(1.0), "jk", [16, 64, 256, 1024], 1 << 14)
         assert all(rel_close(t, 1.0) for t in rep.max_tail)
         assert classify_decay(rep) is DecayVerdict.NOT_DECAYING
 
@@ -480,7 +480,7 @@ class TestDecayReports:
             lambda m, n: 1.0 / (m * n * math.log(m) * math.log(n))
             if min(m, n) >= 2 else 0.0, otypes=[complex]),
             real=True)
-        rep = loglog_decay(c, [16, 256, 2048])
+        rep = decay_report(c, "loglog", [16, 256, 2048], 1 << 14)
         assert all(rel_close(t, 1.0) for t in rep.max_tail)
         assert classify_decay(rep) is DecayVerdict.NOT_DECAYING
 
@@ -489,13 +489,13 @@ class TestDecayReports:
             lambda m, n: 1.0 / (m * n * math.log(m + 1) ** 2 * math.log(n + 1) ** 2),
             otypes=[complex]),
             real=True)
-        rep = loglog_decay(c, [16, 256, 4096], horizon=1 << 13)
+        rep = decay_report(c, "loglog", [16, 256, 4096], horizon=1 << 13)
         assert classify_decay(rep) is DecayVerdict.DECAYING
 
     def test_values_nonnegative_and_tails_monotone(self):
         rng = np.random.default_rng(4)
         c = table_rule(rng.normal(size=(64, 64)))
-        rep = jk_decay(c, [4, 16, 64])
+        rep = decay_report(c, "jk", [4, 16, 64], 1 << 14)
         assert all(s.value >= 0 for s in rep.samples)
         assert all(a >= b for a, b in zip(rep.max_tail, rep.max_tail[1:]))
 
@@ -505,22 +505,55 @@ class TestDecayReports:
 
     def test_horizon_must_reach_thresholds(self):
         with pytest.raises(ValueError):
-            jk_decay(zero_double_rule(), [10**7], horizon=1 << 10)
+            decay_report(zero_double_rule(), "jk", [10**7], horizon=1 << 10)
 
-    def test_thresholds_checked_before_any_sample(self):
+    def test_thresholds_checked_before_any_sample(self, monkeypatch):
         calls = []
+        for name in ("row_tail_sups", "row_diff_tail_sups", "mixed_diff_tails"):
+            def record(*args, name=name, reducer=getattr(convergence, name)):
+                calls.append(name)
+                return reducer(*args)
+            monkeypatch.setattr(convergence, name, record)
+        c, count = counted(dataclasses.replace(geometric_double_rule(0.5), factors=None))
+        for condition in DECAY_CONDITIONS:
+            with pytest.raises(ValueError, match="does not reach"):
+                decay_report(c, condition, [16, 64, 4096], horizon=256)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                decay_report(c, condition, [64, 16], horizon=256)
+        assert calls == [] and count == [0]
+        for condition in DECAY_CONDITIONS:
+            decay_report(c, condition, [16, 64], horizon=256)
+        assert calls == ["row_tail_sups", "row_tail_sups", "mixed_diff_tails",
+                         "row_diff_tail_sups", "row_diff_tail_sups"]
+        assert count[0] > 0
 
-        def fn(anchors):
-            calls.append(anchors)
-            return [0.0] * len(anchors), True
+    def test_unknown_condition(self):
+        with pytest.raises(ValueError, match="unknown decay condition"):
+            decay_report(geometric_double_rule(0.5), "bogus", [16, 64], horizon=256)
 
-        with pytest.raises(ValueError, match="does not reach"):
-            tail_decay_report(fn, [16, 64, 4096], horizon=256)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            tail_decay_report(fn, [64, 16], horizon=256)
-        assert calls == []
-        tail_decay_report(fn, [16, 64], horizon=256)
-        assert calls == [frontier_samples(256, min_index=2)]
+    @pytest.mark.parametrize("horizon, thresholds", [(256, [8, 32, 128, 256]),
+                                                     (2048, [16, 64, 256, 1024, 4096])])
+    @pytest.mark.parametrize("condition", DECAY_CONDITIONS)
+    def test_equals_the_replaced_reports(self, condition, horizon, thresholds):
+        rng = np.random.default_rng(43)
+        rules = [
+            geometric_double_rule(0.5),
+            power_double_rule(2.0),
+            double_rule(2.0),
+            additive_rule(geometric_rule(0.5), geometric_rule(0.5), "separable"),
+            # taller than the smaller horizon, inside the larger one
+            table_rule(rng.normal(size=(300, 200)), "real"),
+            table_rule(rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30)), "complex"),
+        ]
+        for c in rules:
+            got = decay_report(c, condition, thresholds, horizon, p=1.5, r=2)
+            want = decay_dispatch(c, condition, thresholds, horizon, p=1.5, r=2)
+            for field in dataclasses.fields(DecayReport):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "trend_fit" and math.isnan(b):
+                    assert math.isnan(a), c.label
+                else:
+                    assert a == b, (c.label, field.name)
 
     @pytest.mark.parametrize("tails", [[7808.0, 7808.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
     def test_zero_last_tail_needs_a_conclusive_report(self, tails):
@@ -569,9 +602,18 @@ class TestTailSups:
         assert row_tail(c, 8, 8, 4000).conclusive
 
     def test_no_envelope_is_inconclusive(self):
+        # the support reaches past the horizon on one axis: the tail is truncated
         rng = np.random.default_rng(9)
-        c = table_rule(rng.normal(size=(32, 32)))
-        assert not row_tail(c, 2, 1, 64).conclusive
+        for shape in ((32, 80), (80, 32)):
+            c = table_rule(rng.normal(size=shape))
+            assert not row_tail(c, 2, 1, 64).conclusive
+
+    def test_support_inside_the_horizon_is_exact(self):
+        # every row and column past the support is zero: nothing is truncated
+        rng = np.random.default_rng(9)
+        for shape, horizon in (((32, 32), 64), ((24, 70), 128), ((64, 64), 64)):
+            est = row_tail(table_rule(rng.normal(size=shape)), 2, 1, horizon)
+            assert est.conclusive and est.residual == 0.0
 
     def test_col_variant_transposes(self):
         rng = np.random.default_rng(19)
@@ -730,7 +772,7 @@ class TestBatchedMixedDiffTail:
     def test_equals_per_anchor_loop(self, r, p, horizon):
         # every fourth frontier anchor: the first sets the smallest column,
         # the others start inside the rows and columns it spans
-        anchors = frontier_samples(horizon, min_index=2)[::4]
+        anchors = frontier_samples(horizon)[::4]
         picked = [0, 1, 9, len(anchors) // 2, len(anchors) - 1]
         for c in self.rules():
             got = mixed_diff_tails(c, p, r, anchors, horizon)
@@ -748,7 +790,7 @@ class TestBatchedMixedDiffTail:
         # repeated and single-row anchors all keep their own blocks
         monkeypatch.setattr(convergence, "_CHUNK", 7)
         horizon = 100
-        anchors = frontier_samples(horizon, min_index=2) + [(100, 3), (9, 100), (9, 100), (50, 50)]
+        anchors = frontier_samples(horizon) + [(100, 3), (9, 100), (9, 100), (50, 50)]
         for c in self.rules()[1:]:
             got = mixed_diff_tails(c, 1.5, 2, anchors, horizon)
             want = [loop_mixed_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
@@ -775,7 +817,7 @@ class TestBatchedMixedDiffTail:
         # 7-row blocks move the window about 40 times
         monkeypatch.setattr(convergence, "_CHUNK", 7)
         horizon = 300
-        anchors = frontier_samples(horizon, min_index=2)
+        anchors = frontier_samples(horizon)
         c, count = counted(self.rules()[2])
         tail(c, anchors, horizon)
         assert 0 < count[0] <= (horizon - 1) ** 2 * per_entry

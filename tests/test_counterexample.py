@@ -7,7 +7,7 @@ from dgmlab.convergence import (
     ConvergenceVerdict,
     DecayVerdict,
     classify_decay,
-    jk_decay,
+    decay_report,
     rational_point_convergence,
 )
 from dgmlab.counterexample import (
@@ -185,7 +185,7 @@ class TestClassDichotomy:
 
 class TestDecayBehaviour:
     def test_jk_decay_goes_to_zero_slowly(self):
-        rep = jk_decay(double_rule(2.0), [16, 256, 4096, 16384], horizon=1 << 14)
+        rep = decay_report(double_rule(2.0), "jk", [16, 256, 4096, 16384], horizon=1 << 14)
         assert classify_decay(rep) is DecayVerdict.DECAYING
         assert rep.max_tail[-1] > 0.1  # slow: still visible at 2^14
 
