@@ -9,6 +9,7 @@ and the explicit divergence example with its certificate.
 
 from .convergence import (
     DECAY_CONDITIONS,
+    TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
     DecayReport,
     DecayVerdict,

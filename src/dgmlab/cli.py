@@ -31,6 +31,7 @@ import numpy as np
 from . import counterexample as cex
 from .convergence import (
     DECAY_CONDITIONS,
+    TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
     DecaySample,
     DecayVerdict,
@@ -108,10 +109,10 @@ def _step(name: str, value: int) -> int:
     return int(value)
 
 
-def _cap(name: str, value: int, low: int = 1) -> int:
+def _cap(name: str, value: int, low: int = 1, high: int = HORIZON_LIMIT) -> int:
     value = int(value)
-    if not low <= value <= HORIZON_LIMIT:
-        raise UsageError(name, f"must be in [{low}, {HORIZON_LIMIT}], got {value}")
+    if not low <= value <= high:
+        raise UsageError(name, f"must be in [{low}, {high}], got {value}")
     return value
 
 
@@ -395,10 +396,13 @@ def _run_converge(args: argparse.Namespace) -> _Run:
 def _run_decay(args: argparse.Namespace) -> _Run:
     c = _double_rule(args)
     condition = args.condition
-    horizon = _cap("horizon", args.horizon)
+    tail = condition.endswith("tail")  # only the tail conditions read p and r
+    horizon = _cap("horizon", args.horizon, high=TAIL_HORIZON_LIMIT if tail else HORIZON_LIMIT)
     p, r = args.p, args.r
-    if condition.endswith("tail"):  # only the tail conditions read p and r
-        p, r = _positive("p", p), _step("r", r)
+    if tail:
+        if not p >= 1:  # also refuses NaN
+            raise UsageError("p", "need p >= 1")
+        r = _step("r", r)
     report = decay_report(c, condition, args.thresholds, horizon, p, r)
     verdict = classify_decay(report)
     tails = " ".join(f"{t:.4g}" for t in report.max_tail)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -499,41 +499,40 @@ class TailEstimate:
 
 _CHUNK = 256
 
+# the tails take time H^2: at 2^15, up to about 30 s and 310 MB on `separable`
+TAIL_HORIZON_LIMIT = 1 << 15
+
 
 def _check_tail_args(anchors: Sequence[tuple[int, int]], horizon: int,
                      p: float = 1.0, r: int = 1) -> None:
-    if p < 1 or r < 1:
+    if not (p >= 1 and r >= 1):  # also refuses NaN
         raise ValueError("need p >= 1 and r >= 1")
-    if not anchors or horizon > HORIZON_LIMIT or not all(
-            1 <= m <= horizon and 1 <= n <= horizon for m, n in anchors):
+    if horizon > TAIL_HORIZON_LIMIT:
+        raise ValueError(f"tail horizon must be at most {TAIL_HORIZON_LIMIT}")
+    if not anchors or not all(1 <= m <= horizon and 1 <= n <= horizon for m, n in anchors):
         raise ValueError("bad index range")
 
 
-def _abs_blocks(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                anchors: Sequence[tuple[int, int]], horizon: int,
-                k_hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(a, j, block)``: the ``_CHUNK``-row blocks of ``|fn|`` over rows
-    [m, horizon] and columns [n, k_hi] of each anchor a = (m, n), by first
-    row j.  A block is a view, valid until the next one.  Each row over
-    [n0, k_hi], n0 the smallest anchor column, is evaluated once and passes
-    through a window of ``2 * _CHUNK`` rows."""
+def _sweep(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], fold: np.ufunc,
+           anchors: Sequence[tuple[int, int]], horizon: int, k_hi: int) -> list[np.ndarray]:
+    """Per anchor (m, n), from column n on, the state after row m of one
+    sweep from row H down that folds each row of ``rows(js, ks)`` into a
+    zero-started state with ``fold``.  ``ks`` spans [n0, k_hi], n0 the
+    smallest anchor column, and ``rows`` gets ``_CHUNK`` rows per call; it
+    may append one column, which the anchors past k_hi read.  Each fold
+    makes a new state, so the state after an anchor row is kept as it is."""
     n0 = min(n for _, n in anchors)
     ks = np.arange(n0, k_hi + 1)[None, :]
-    # the first row of every anchor's blocks, in the order the rows are needed
-    blocks = sorted((j, a) for a, (m, _) in enumerate(anchors)
-                    for j in range(m, horizon + 1, _CHUNK))
-    window = np.empty((2 * _CHUNK, ks.size))
-    lo = hi = 0  # the window holds rows [lo, hi)
-    for j, a in blocks:
-        end = min(j + _CHUNK, horizon + 1)
-        if end > hi:
-            keep = max(hi - j, 0)
-            window[:keep] = window[hi - keep - lo:hi - lo]
-            first, lo, hi = j + keep, j, min(j + 2 * _CHUNK, horizon + 1)
-            for i in range(first, hi, _CHUNK):
-                rows = np.arange(i, min(i + _CHUNK, hi), dtype=np.int64)[:, None]
-                window[i - lo:i - lo + rows.size] = np.abs(fn(rows, ks))
-        yield a, j, window[j - lo:end - lo, anchors[a][1] - n0:]
+    wanted = {m for m, _ in anchors}
+    state, states = 0.0, {}
+    for top in range(horizon, min(wanted) - 1, -_CHUNK):
+        js = np.arange(max(top + 1 - _CHUNK, min(wanted)), top + 1, dtype=np.int64)[:, None]
+        for j, row in zip(js[::-1, 0].tolist(), rows(js, ks)[::-1]):
+            state = fold(state, row)
+            if j in wanted:
+                states[j] = state
+        del row  # the last view of the block: free it before the next one
+    return [states[m][min(n - n0, state.size - 1):] for m, n in anchors]
 
 
 def _weight_is_decreasing(kind: str, a: float, j: float) -> bool:
@@ -548,8 +547,8 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
                   horizon: int) -> list[TailEstimate]:
     """``sup_{j in [m, H]} j * ln(j) * sum_{k=n}^{H} |c_jk|`` at every anchor (m, n).
 
-    Each row sum runs over [n, min(H, K)], K the support width, as one
-    contiguous reduction.  The residual bound covers both the truncated
+    Each row sum runs over [n, min(H, K)], K the support width, from its
+    last column down.  The residual bound covers both the truncated
     inner k-tail and the unscanned j > H part: it is 0 when the support
     lies inside the horizon, and otherwise needs a tail envelope on the
     rule.  ``col-tail`` is this on the transposed rule.
@@ -559,30 +558,33 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
         raise ValueError("need m >= 2 so the ln weight is positive")
     if c.factors is not None:
         u, v = c.factors
-        tails = [np.abs(u.values(np.arange(m, horizon + 1)))
-                 * float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
-                 for m, n in anchors]
+        values = []
+        for m, n in anchors:
+            js = np.arange(m, horizon + 1, dtype=np.int64)
+            sv = float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
+            values.append(float(np.max(js * np.log(js) * (np.abs(u.values(js)) * sv))))
     else:
+        def weighted(js, ks):
+            # j ln j times the row suffix sums, and a 0 for the columns past the support
+            suffix = np.zeros((js.shape[0], ks.size + 1))
+            suffix[:, :-1] = np.cumsum(np.abs(c.values(js, ks))[:, ::-1], axis=1)[:, ::-1]
+            return js * np.log(js) * suffix
+
         k_hi = horizon if c.support is None else min(horizon, c.support[1])
-        tails = [np.empty(horizon + 1 - m) for m, _ in anchors]
-        for a, j, block in _abs_blocks(c.values, anchors, horizon, k_hi):
-            i = j - anchors[a][0]
-            tails[a][i:i + len(block)] = np.sum(block, axis=1)
+        values = [float(s[0]) for s in _sweep(weighted, np.maximum, anchors, horizon, k_hi)]
     env, h1 = c.tail, horizon + 1.0
     exact = c.support is not None and max(c.support) <= horizon
     out = []
-    for (m, n), tail in zip(anchors, tails):
-        js = np.arange(m, horizon + 1, dtype=np.int64)
-        w = js * np.log(js)
-        weighted = w * tail
+    for (m, n), value in zip(anchors, values):
         residual = 0.0 if exact else math.inf
         if env is not None and not exact:
+            js = np.arange(m, horizon + 1, dtype=np.int64)
             resid_beyond = math.inf
             if _weight_is_decreasing(env.kind, env.a_j, h1):
                 resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
-            w_max = float(np.max(w * env.f(js.astype(float))))
+            w_max = float(np.max(js * np.log(js) * env.f(js.astype(float))))
             residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
-        out.append(TailEstimate(float(np.max(weighted)), residual, math.isfinite(residual)))
+        out.append(TailEstimate(value, residual, math.isfinite(residual)))
     return out
 
 
@@ -591,8 +593,8 @@ def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
     """``m^(1/p) n^(1/p) sum_{j=m}^{H} sum_{k=n}^{H} |mixed difference|`` at
     every anchor (m, n).
 
-    Each anchor adds, in order, the sums of its own ``_CHUNK``-row blocks,
-    so its value does not depend on the other anchors.
+    Each column sum adds its rows from j = H down, so a value depends on
+    neither the other anchors nor ``_CHUNK``.
     """
     _check_tail_args(anchors, horizon, p, r)
     if c.factors is not None:
@@ -603,11 +605,9 @@ def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
             sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
             out.append((m * n) ** (1.0 / p) * su * sv)
         return out
-    totals = [0.0] * len(anchors)
-    for a, _, block in _abs_blocks(lambda js, ks: mixed_diff_values(c, js, ks, r),
-                                   anchors, horizon, horizon):
-        totals[a] += float(np.sum(np.ascontiguousarray(block)))
-    return [(m * n) ** (1.0 / p) * t for (m, n), t in zip(anchors, totals)]
+    sums = _sweep(lambda js, ks: np.abs(mixed_diff_values(c, js, ks, r)), np.add,
+                  anchors, horizon, horizon)
+    return [(m * n) ** (1.0 / p) * float(np.sum(s)) for (m, n), s in zip(anchors, sums)]
 
 
 def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
@@ -615,8 +615,8 @@ def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
     """``m^(1/p) sup_{k in [n, H]} k * sum_{j=m}^{H} |row difference at (j, k)|``
     at every anchor (m, n).
 
-    Each column sum adds its rows in j order.  ``col-diff-tail`` is this on
-    the transposed rule.
+    Each column sum adds its rows from j = H down.  ``col-diff-tail`` is
+    this on the transposed rule.
     """
     _check_tail_args(anchors, horizon, p, r)
     if c.factors is not None:
@@ -627,11 +627,8 @@ def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
             su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
             out.append(m ** (1.0 / p) * su * float(np.max(ks * np.abs(v.values(ks)))))
         return out
-    sums = [np.zeros(horizon + 1 - n) for _, n in anchors]
-    for a, _, block in _abs_blocks(lambda js, ks: row_diff_values(c, js, ks, r),
-                                   anchors, horizon, horizon):
-        for row in block:
-            sums[a] += row
+    sums = _sweep(lambda js, ks: np.abs(row_diff_values(c, js, ks, r)), np.add,
+                  anchors, horizon, horizon)
     return [m ** (1.0 / p) * float(np.max(np.arange(n, horizon + 1) * s))
             for (m, n), s in zip(anchors, sums)]
 
@@ -648,7 +645,8 @@ def decay_report(c: DoubleSequenceRule, condition: str, thresholds: Sequence[int
     ``m * n * ln(m) * ln(n)``; the tail conditions are the batched tails
     above, and the ``col-*`` ones are the ``row-*`` ones on the transposed
     rule with the anchors swapped.  ``p`` and ``r`` serve the diff tails.
-    The thresholds are checked before any value is computed.  The diff
+    The thresholds are checked before any value is computed, and the tail
+    conditions refuse a horizon past ``TAIL_HORIZON_LIMIT``.  The diff
     tails bound no truncation residual yet and count as conclusive.
     """
     if condition not in DECAY_CONDITIONS:

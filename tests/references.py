@@ -1,5 +1,6 @@
-"""Code that the library replaced, kept as references that the
-replacements must equal bit for bit.
+"""Code that the library replaced, kept as references for the replacements.
+
+These must equal their replacements bit for bit (``==``):
 
 * The direct column forms.  The library computes every column quantity
   of a rule as the row quantity of ``transpose_rule(c)`` with the indices
@@ -9,8 +10,15 @@ replacements must equal bit for bit.
 * The decay reports that ``decay_report`` replaced: ``jk_decay``,
   ``loglog_decay``, and the CLI's dispatch of the tail conditions through
   ``tail_decay_report``.
+
+These must agree with their replacements to a relative 1e-12:
+
+* The per-anchor tail loops ``loop_mixed_diff_tail``, ``loop_row_tail``
+  and ``loop_row_diff_tail``.  The batched tails fold each row once, from
+  row H down, so they add the same terms in another order.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -29,7 +37,9 @@ from dgmlab.sequences import (
     additive_rule,
     geometric_double_rule,
     geometric_rule,
+    mixed_diff_values,
     power_double_rule,
+    row_diff_values,
     step_diff_values,
     table_rule,
     transpose_rule,
@@ -205,3 +215,41 @@ def decay_dispatch(c, condition, thresholds, horizon, p=2.0, r=1):
         return [e.value for e in ests], all(e.conclusive for e in ests)
 
     return tail_decay_report(fn, thresholds, horizon)
+
+
+def loop_mixed_diff_tail(c, p, r, m, n, horizon, chunk=256):
+    """The mixed difference tail of one anchor, one row chunk at a time."""
+    total = 0.0
+    ks = np.arange(n, horizon + 1)[None, :]
+    js_all = np.arange(m, horizon + 1, dtype=np.int64)
+    for i in range(0, js_all.size, chunk):
+        rows = js_all[i:i + chunk, None]
+        total += float(np.sum(np.abs(mixed_diff_values(c, rows, ks, r))))
+    return (m * n) ** (1.0 / p) * total
+
+
+def loop_row_tail(c, m, n, horizon, chunk=256):
+    """The weighted row tail, one row chunk at a time."""
+    js = np.arange(m, horizon + 1, dtype=np.int64)
+    k_hi = horizon if c.support is None else min(horizon, c.support[1])
+    tails = np.zeros(js.size)
+    if k_hi >= n:
+        ks = np.arange(n, k_hi + 1)[None, :]
+        for i in range(0, js.size, chunk):
+            tails[i:i + chunk] = np.sum(np.abs(c.values(js[i:i + chunk, None], ks)), axis=1)
+    weighted = js * np.log(js) * tails
+    return float(weighted[int(np.argmax(weighted))])
+
+
+def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
+    """The row difference tail over strips of ``chunk`` columns.  Rows are
+    added one at a time: numpy sums a one-column array pairwise, not in j
+    order."""
+    ks = np.arange(n, horizon + 1, dtype=np.int64)
+    js = np.arange(m, horizon + 1)[:, None]
+    best = 0.0
+    for i in range(0, ks.size, chunk):
+        diffs = np.abs(row_diff_values(c, js, ks[None, i:i + chunk], r))
+        sums = functools.reduce(np.add, diffs)
+        best = max(best, float(np.max(ks[i:i + chunk] * sums)))
+    return m ** (1.0 / p) * best

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmlab import cli
 from dgmlab.cli import _octave_starts, build_parser, main
-from dgmlab.convergence import DECAY_CONDITIONS
+from dgmlab.convergence import DECAY_CONDITIONS, TAIL_HORIZON_LIMIT
 from dgmlab.sequences import HORIZON_LIMIT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -177,6 +178,23 @@ class TestDecayCommand:
 
     def test_unknown_condition(self, tmp_path):
         assert run(tmp_path, "decay", "--condition", "bogus") == 3
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--condition", "row-diff-tail", "--p", "0.5", "--horizon", "256"],
+         "error: field 'p': need p >= 1\n"),
+        (["--condition", "col-tail", "--p", "nan", "--horizon", "256"],
+         "error: field 'p': need p >= 1\n"),
+        (["--condition", "mixed-diff-tail", "--horizon", str(HORIZON_LIMIT)],
+         f"error: field 'horizon': must be in [1, {TAIL_HORIZON_LIMIT}], got {HORIZON_LIMIT}\n"),
+        (["--condition", "row-tail", "--horizon", str(TAIL_HORIZON_LIMIT + 1)],
+         f"error: field 'horizon': must be in [1, {TAIL_HORIZON_LIMIT}], "
+         f"got {TAIL_HORIZON_LIMIT + 1}\n"),
+    ], ids=["p-below-1", "p-nan", "horizon-limit", "past-tail-horizon-limit"])
+    def test_tail_refusals_name_their_field(self, tmp_path, capsys, monkeypatch, argv, err):
+        # refused before any value: the report is never built
+        monkeypatch.setattr(cli, "decay_report", None)
+        code = run(tmp_path, "decay", "--seq", "separable", *argv, "--thresholds", "16,64")
+        assert (code, capsys.readouterr().err) == (3, err)
 
     @pytest.mark.parametrize("cond", ["row-tail", "col-tail"])
     def test_zero_last_tail_without_envelope_is_inconclusive(self, tmp_path, capsys, cond):

@@ -10,6 +10,7 @@ from dgmlab import convergence
 from dgmlab.convergence import (
     DECAY_CONDITIONS,
     EXACT_GENERAL_CAP,
+    TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
     DecayReport,
     DecayVerdict,
@@ -48,13 +49,26 @@ from dgmlab.sequences import (
     transpose_rule,
     zero_double_rule,
 )
-from references import decay_dispatch, profile_product_max, window_product_max
+from references import (
+    decay_dispatch,
+    loop_mixed_diff_tail,
+    loop_row_diff_tail,
+    loop_row_tail,
+    profile_product_max,
+    window_product_max,
+)
 
 REL = 1e-12
 
 
 def rel_close(a, b, rel=REL):
     return abs(a - b) <= rel * (1 + max(abs(a), abs(b)))
+
+
+def all_close(got, want, rel=REL):
+    """Elementwise agreement to a relative ``rel``, with no absolute slack."""
+    return len(got) == len(want) and all(
+        math.isclose(a, b, rel_tol=rel, abs_tol=0.0) for a, b in zip(got, want))
 
 
 # pointwise oracles: the difference operators from scalar evaluations ``ev(j, k)``
@@ -701,46 +715,17 @@ class TestDiffTails:
         with pytest.raises(ValueError, match="bad index range"):
             row_tail_sups(zero_double_rule(), [], 10)
 
-
-# the per-anchor loops that the batched tails replaced: the references the
-# batched values must equal bit for bit
-
-
-def loop_mixed_diff_tail(c, p, r, m, n, horizon, chunk=256):
-    total = 0.0
-    ks = np.arange(n, horizon + 1)[None, :]
-    js_all = np.arange(m, horizon + 1, dtype=np.int64)
-    for i in range(0, js_all.size, chunk):
-        rows = js_all[i:i + chunk, None]
-        total += float(np.sum(np.abs(mixed_diff_values(c, rows, ks, r))))
-    return (m * n) ** (1.0 / p) * total
-
-
-def loop_row_tail(c, m, n, horizon, chunk=256):
-    """The weighted row tail, one row chunk at a time."""
-    js = np.arange(m, horizon + 1, dtype=np.int64)
-    k_hi = horizon if c.support is None else min(horizon, c.support[1])
-    tails = np.zeros(js.size)
-    if k_hi >= n:
-        ks = np.arange(n, k_hi + 1)[None, :]
-        for i in range(0, js.size, chunk):
-            tails[i:i + chunk] = np.sum(np.abs(c.values(js[i:i + chunk, None], ks)), axis=1)
-    weighted = js * np.log(js) * tails
-    return float(weighted[int(np.argmax(weighted))])
-
-
-def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
-    """The row difference tail over strips of ``chunk`` columns.  Rows are
-    added one at a time: numpy sums a one-column array pairwise, not in j
-    order."""
-    ks = np.arange(n, horizon + 1, dtype=np.int64)
-    js = np.arange(m, horizon + 1)[:, None]
-    best = 0.0
-    for i in range(0, ks.size, chunk):
-        diffs = np.abs(row_diff_values(c, js, ks[None, i:i + chunk], r))
-        sums = functools.reduce(np.add, diffs)
-        best = max(best, float(np.max(ks[i:i + chunk] * sums)))
-    return m ** (1.0 / p) * best
+    def test_tail_horizon_limit(self):
+        # the tail conditions refuse a horizon past their own limit before any
+        # row is evaluated; the pointwise conditions keep HORIZON_LIMIT
+        c, count = counted(dataclasses.replace(geometric_double_rule(0.5), factors=None))
+        for condition in DECAY_CONDITIONS:
+            if condition.endswith("tail"):
+                with pytest.raises(ValueError, match="tail horizon must be at most"):
+                    decay_report(c, condition, [16, 64], TAIL_HORIZON_LIMIT + 1)
+            else:
+                decay_report(c, condition, [16, 64], 2 * TAIL_HORIZON_LIMIT)
+        assert count[0] == 2 * len(frontier_samples(2 * TAIL_HORIZON_LIMIT))
 
 
 def counted(c):
@@ -755,7 +740,7 @@ def counted(c):
 
 
 class TestBatchedMixedDiffTail:
-    """One pass over the rows per tail against the per-anchor loops."""
+    """One sweep over the rows per tail against the per-anchor loops."""
 
     @staticmethod
     def rules():
@@ -766,6 +751,13 @@ class TestBatchedMixedDiffTail:
             table_rule(rng.normal(size=(400, 350)) + 1j * rng.normal(size=(400, 350))),
             table_rule(rng.normal(size=(120, 90))),
         ]
+
+    @staticmethod
+    def tails(c, anchors, horizon):
+        """The three batched tails at the anchors, as one list per tail."""
+        return (mixed_diff_tails(c, 1.5, 2, anchors, horizon),
+                [e.value for e in row_tail_sups(c, anchors, horizon)],
+                row_diff_tail_sups(c, 1.5, 2, anchors, horizon))
 
     @pytest.mark.parametrize("r, p, horizon", [(1, 1.0, 300), (2, 1.5, 700),
                                                (3, 1.0, 700), (3, 1.5, 300)])
@@ -779,33 +771,93 @@ class TestBatchedMixedDiffTail:
             rows = row_tail_sups(c, anchors, horizon)
             diffs = row_diff_tail_sups(c, p, r, anchors, horizon)
             assert len(got) == len(rows) == len(diffs) == len(anchors)
-            for i in picked:
-                m, n = anchors[i]
-                assert got[i] == loop_mixed_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
-                assert rows[i].value == loop_row_tail(c, m, n, horizon)
-                assert diffs[i] == loop_row_diff_tail(c, p, r, m, n, horizon), (c.label, m, n)
+            at = [anchors[i] for i in picked]
+            assert all_close([got[i] for i in picked],
+                             [loop_mixed_diff_tail(c, p, r, m, n, horizon) for m, n in at]), c.label
+            assert all_close([rows[i].value for i in picked],
+                             [loop_row_tail(c, m, n, horizon) for m, n in at]), c.label
+            assert all_close([diffs[i] for i in picked],
+                             [loop_row_diff_tail(c, p, r, m, n, horizon) for m, n in at]), c.label
 
     def test_every_anchor_with_a_small_window(self, monkeypatch):
-        # a 7-row block moves the window about 14 times per anchor: unsorted,
-        # repeated and single-row anchors all keep their own blocks
+        # 7-row blocks: unsorted, repeated and single-row anchors, and
+        # anchor rows on either side of a block edge
         monkeypatch.setattr(convergence, "_CHUNK", 7)
         horizon = 100
         anchors = frontier_samples(horizon) + [(100, 3), (9, 100), (9, 100), (50, 50)]
         for c in self.rules()[1:]:
             got = mixed_diff_tails(c, 1.5, 2, anchors, horizon)
             want = [loop_mixed_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
-            assert got == want, c.label
+            assert all_close(got, want), c.label
             got = [e.value for e in row_tail_sups(c, anchors, horizon)]
-            assert got == [loop_row_tail(c, m, n, horizon, chunk=7) for m, n in anchors], c.label
+            want = [loop_row_tail(c, m, n, horizon, chunk=7) for m, n in anchors]
+            assert all_close(got, want), c.label
             got = row_diff_tail_sups(c, 1.5, 2, anchors, horizon)
             want = [loop_row_diff_tail(c, 1.5, 2, m, n, horizon, chunk=7) for m, n in anchors]
-            assert got == want, c.label
+            assert all_close(got, want), c.label
 
     def test_single_anchor_function_agrees(self):
         c = self.rules()[3]
-        assert mixed_diff_tail(c, 1.5, 2, 7, 300, 400) == loop_mixed_diff_tail(c, 1.5, 2, 7, 300, 400)
-        assert row_tail(c, 7, 30, 400).value == loop_row_tail(c, 7, 30, 400)
-        assert row_diff_tail(c, 1.5, 2, 7, 30, 400) == loop_row_diff_tail(c, 1.5, 2, 7, 30, 400)
+        assert all_close([mixed_diff_tail(c, 1.5, 2, 7, 300, 400)],
+                         [loop_mixed_diff_tail(c, 1.5, 2, 7, 300, 400)])
+        assert all_close([row_tail(c, 7, 30, 400).value], [loop_row_tail(c, 7, 30, 400)])
+        assert all_close([row_diff_tail(c, 1.5, 2, 7, 30, 400)],
+                         [loop_row_diff_tail(c, 1.5, 2, 7, 30, 400)])
+
+    def test_batched_equals_the_single_anchor_call(self):
+        # a value reads only its own rows and columns of the sweep
+        horizon = 100
+        anchors = frontier_samples(horizon) + [(100, 3), (9, 100), (9, 100), (50, 50),
+                                               (horizon, horizon)]
+        for c in self.rules():
+            batched = self.tails(c, anchors, horizon)
+            alone = zip(*(self.tails(c, [a], horizon) for a in anchors))
+            for got, want in zip(batched, alone):
+                assert got == [w[0] for w in want], c.label
+
+    def test_chunk_does_not_change_a_bit(self, monkeypatch):
+        horizon = 100
+        anchors = frontier_samples(horizon) + [(100, 3), (9, 100), (50, 50)]
+        for c in self.rules():
+            got = []
+            for chunk in (1, 7, 256):
+                monkeypatch.setattr(convergence, "_CHUNK", chunk)
+                got.append(self.tails(c, anchors, horizon))
+            assert got[0] == got[1] == got[2], c.label
+
+    def test_agrees_with_an_fsum_oracle(self):
+        horizon, p, r = 700, 1.5, 2
+        anchors = frontier_samples(horizon)[::4]
+        anchors = [anchors[i] for i in (0, 1, 9, len(anchors) // 2, len(anchors) - 1)]
+        anchors += [(100, 3), (9, 100)]
+        js = np.arange(1, horizon + 1)[:, None]
+        ks = np.arange(1, horizon + 1)[None, :]
+        for c in self.rules():
+            mixed = np.abs(mixed_diff_values(c, js, ks, r))
+            diffs = np.abs(row_diff_values(c, js, ks, r))
+            absc = np.abs(c.values(js, ks))
+            k_hi = horizon if c.support is None else min(horizon, c.support[1])
+            want_mixed, want_rows, want_diffs = [], [], []
+            for m, n in anchors:
+                want_mixed.append((m * n) ** (1.0 / p)
+                                  * math.fsum(mixed[m - 1:, n - 1:].ravel().tolist()))
+                want_rows.append(max(j * math.log(j) * math.fsum(row)
+                                     for j, row in enumerate(absc[m - 1:, n - 1:k_hi].tolist(), m)))
+                want_diffs.append(m ** (1.0 / p) * max(
+                    k * math.fsum(col)
+                    for k, col in enumerate(diffs[m - 1:, n - 1:].T.tolist(), n)))
+            assert all_close(mixed_diff_tails(c, p, r, anchors, horizon), want_mixed), c.label
+            assert all_close([e.value for e in row_tail_sups(c, anchors, horizon)],
+                             want_rows), c.label
+            assert all_close(row_diff_tail_sups(c, p, r, anchors, horizon), want_diffs), c.label
+
+    def test_a_column_past_the_support_reads_zero(self):
+        # the 120 x 90 table: row sums stop at column 90
+        c = self.rules()[3]
+        for anchors in ([(5, 95)], [(2, 2), (5, 95)], [(5, 95), (7, 99)]):
+            for values in self.tails(c, anchors, 100):
+                assert values[-1] == 0.0, anchors
+        assert all(values[0] > 0.0 for values in self.tails(c, [(2, 2), (5, 95)], 100))
 
     @pytest.mark.parametrize("tail, per_entry", [
         (lambda c, anchors, h: row_tail_sups(c, anchors, h), 1),
