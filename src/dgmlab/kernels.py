@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequenceRule, step_diff_values
+from .sequences import SequenceRule
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,11 +217,13 @@ def partial_sum_bound(seq: SequenceRule, n: int, N: int, r: int, x: float) -> Pa
         raise ValueError("need N >= n")
     l, half = band_index(x, r)
     pref = kernel_band_bound(x, r, l)
-    ks = np.arange(n, N + 1)
+    # one evaluation of a_n .. a_{N+r}, sliced as in sbp_decompose
+    length = N - n + 1
+    vals = seq.values(np.arange(n, N + r + 1))
     term_sum = float(
-        np.sum(np.abs(step_diff_values(seq, ks, r)))
-        + np.sum(np.abs(seq.values(np.arange(N + 1, N + r + 1))))
-        + np.sum(np.abs(seq.values(np.arange(n, n + r))))
+        np.sum(np.abs(vals[:length] - vals[r:length + r]))
+        + np.sum(np.abs(vals[length:]))
+        + np.sum(np.abs(vals[:r]))
     )
     if half == 0:
         stated = math.pi / (2.0 * (r * x - 2.0 * math.pi * l))

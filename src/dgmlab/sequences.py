@@ -220,13 +220,12 @@ def rule_from_values(values, label: str = "") -> SequenceRule:
     """Array-backed sequence ``a_k = values[k - 1]``; indices beyond the array
     evaluate to 0."""
     arr = np.asarray(values, dtype=complex)
+    # a_k at padded[k]; clipping sends every index outside 1..n to a zero end
+    padded = np.zeros(arr.size + 2, dtype=complex)
+    padded[1:-1] = arr
 
     def fn(ks: np.ndarray) -> np.ndarray:
-        idx = ks - 1
-        ok = (idx >= 0) & (idx < arr.size)
-        out = np.zeros(ks.shape, dtype=complex)
-        out[ok] = arr[idx[ok]]
-        return out
+        return padded.take(ks, mode="clip")
 
     return SequenceRule(fn, label=label, real=bool(np.isrealobj(values)))
 
@@ -258,13 +257,15 @@ def table_rule(table, label: str = "") -> DoubleSequenceRule:
     if arr.ndim != 2:
         raise ValueError("table must be two-dimensional")
     rows, cols = arr.shape
+    # c[j,k] at padded[j, k] inside a zero border; clamping sends every index
+    # pair outside the box to the border (np.minimum/np.maximum: np.clip adds
+    # Python-level overhead per call)
+    padded = np.zeros((rows + 2, cols + 2), dtype=complex)
+    padded[1:-1, 1:-1] = arr
 
     def fn(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        jb, kb = np.broadcast_arrays(js - 1, ks - 1)
-        ok = (jb >= 0) & (jb < rows) & (kb >= 0) & (kb < cols)
-        out = np.zeros(jb.shape, dtype=complex)
-        out[ok] = arr[jb[ok], kb[ok]]
-        return out
+        return padded[np.minimum(np.maximum(js, 0), rows + 1),
+                      np.minimum(np.maximum(ks, 0), cols + 1)]
 
     return DoubleSequenceRule(
         fn, label=label,

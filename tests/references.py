@@ -11,6 +11,12 @@ These must equal their replacements bit for bit (``==``):
   ``loglog_decay``, and the CLI's dispatch of the tail conditions through
   ``tail_decay_report``.
 
+* The masked lookups ``masked_values_fn`` and ``masked_table_fn`` that
+  the zero-padded lookups of ``rule_from_values`` and ``table_rule``
+  replaced, in value (NaN where the reference is NaN), shape and dtype.
+* ``four_call_partial_sum_bound``, which evaluated the rule four times
+  where ``partial_sum_bound`` now slices one evaluation.
+
 These must agree with their replacements to a relative 1e-12:
 
 * The per-anchor tail loops ``loop_mixed_diff_tail``, ``loop_row_tail``
@@ -32,6 +38,7 @@ from dgmlab.convergence import (
     row_tail_sups,
 )
 from dgmlab.counterexample import double_rule
+from dgmlab.kernels import PartialSumBound, band_index, kernel_band_bound
 from dgmlab.membership import BoundFamily, BoundValue, _window_sums
 from dgmlab.sequences import (
     additive_rule,
@@ -253,3 +260,51 @@ def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
         sums = functools.reduce(np.add, diffs)
         best = max(best, float(np.max(ks[i:i + chunk] * sums)))
     return m ** (1.0 / p) * best
+
+
+def masked_values_fn(values):
+    """``rule_from_values``'s lookup: mask the indices inside ``1..n``."""
+    arr = np.asarray(values, dtype=complex)
+
+    def fn(ks):
+        idx = ks - 1
+        ok = (idx >= 0) & (idx < arr.size)
+        out = np.zeros(ks.shape, dtype=complex)
+        out[ok] = arr[idx[ok]]
+        return out
+
+    return fn
+
+
+def masked_table_fn(table):
+    """``table_rule``'s lookup: mask the index pairs inside the support box."""
+    arr = np.asarray(table, dtype=complex)
+    rows, cols = arr.shape
+
+    def fn(js, ks):
+        jb, kb = np.broadcast_arrays(js - 1, ks - 1)
+        ok = (jb >= 0) & (jb < rows) & (kb >= 0) & (kb < cols)
+        out = np.zeros(jb.shape, dtype=complex)
+        out[ok] = arr[jb[ok], kb[ok]]
+        return out
+
+    return fn
+
+
+def four_call_partial_sum_bound(seq, n, N, r, x):
+    """``partial_sum_bound`` with one rule evaluation per sum (four in all)."""
+    if N < n:
+        raise ValueError("need N >= n")
+    l, half = band_index(x, r)
+    pref = kernel_band_bound(x, r, l)
+    ks = np.arange(n, N + 1)
+    term_sum = float(
+        np.sum(np.abs(step_diff_values(seq, ks, r)))
+        + np.sum(np.abs(seq.values(np.arange(N + 1, N + r + 1))))
+        + np.sum(np.abs(seq.values(np.arange(n, n + r))))
+    )
+    if half == 0:
+        stated = math.pi / (2.0 * (r * x - 2.0 * math.pi * l))
+    else:
+        stated = math.pi / (2.0 * (l + 1) * math.pi - r * x)
+    return PartialSumBound(pref * term_sum, pref, stated, term_sum, l, half)

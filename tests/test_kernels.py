@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -20,7 +21,13 @@ from dgmlab.kernels import (
     partial_sum_bound,
     sbp_decompose,
 )
-from dgmlab.sequences import power_rule, rule_from_function, rule_from_values
+from dgmlab.sequences import (
+    geometric_rule,
+    power_rule,
+    rule_from_function,
+    rule_from_values,
+)
+from references import four_call_partial_sum_bound
 
 REL = 1e-12
 
@@ -233,6 +240,22 @@ class TestPartialSumBound:
                 direct = abs(direct_sine_sum(seq, n, N, x))
                 assert direct <= got.value * (1 + REL)
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_equals_the_four_call_form(self, r):
+        rng = np.random.default_rng(100 + r)
+        arr = rng.normal(size=90) + 1j * rng.normal(size=90)
+        rules = [rule_from_values(arr), rule_from_values(arr.real), power_rule(1.5),
+                 geometric_rule(0.7), rule_from_function(lambda k: complex(k % 3, -k))]
+        # N - n + 1 below, at and above r; windows running past the table
+        for n, N in [(1, 1), (3, 3 + r - 2), (5, 5 + r - 1), (2, 40), (7, 84), (80, 95)]:
+            if N < n:
+                continue
+            for _, _, lo, hi in half_bands(r):
+                x = lo + (hi - lo) * float(rng.uniform(0.05, 0.95))
+                for seq in rules:
+                    assert partial_sum_bound(seq, n, N, r, x) == \
+                        four_call_partial_sum_bound(seq, n, N, r, x), (seq.label, n, N, x)
+
     def test_prefactor_constants(self):
         seq = power_rule(2.0)
         # first half-band: the stated constant equals the kernel bound
@@ -243,3 +266,27 @@ class TestPartialSumBound:
         b1 = partial_sum_bound(seq, 2, 40, 3, 1.6)
         assert b1.half == 1
         assert rel_close(2 * b1.prefactor, b1.stated_prefactor)
+
+
+class TestOneEvaluationPerCall:
+    @staticmethod
+    def counted(seq):
+        """``seq`` with a counter of the calls its ``fn`` receives."""
+        calls = [0]
+
+        def fn(ks):
+            calls[0] += 1
+            return seq.fn(ks)
+
+        return dataclasses.replace(seq, fn=fn), calls
+
+    @pytest.mark.parametrize("call", [
+        lambda seq: sbp_decompose(seq, 3, 40, 3, 1.0),
+        lambda seq: partial_sum_bound(seq, 3, 40, 3, 1.0),
+        lambda seq: partial_sum_bound(seq, 3, 4, 5, 1.0),
+        lambda seq: direct_sine_sum(seq, 3, 40, 1.0),
+    ], ids=["sbp", "partial-sum-bound", "short-partial-sum-bound", "direct"])
+    def test_each_call_evaluates_the_rule_once(self, call):
+        seq, calls = self.counted(rule_from_values(np.arange(1.0, 50.0)))
+        call(seq)
+        assert calls[0] == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dgmlab.sequences import (
     DoubleSequenceRule,
+    SequenceRule,
     additive_rule,
     block_p_norm,
     constant_rule,
@@ -24,7 +25,12 @@ from dgmlab.sequences import (
     transpose_rule,
     window_diff_p_norm,
 )
-from references import direct_col_diff_values, symmetry_rules
+from references import (
+    direct_col_diff_values,
+    masked_table_fn,
+    masked_values_fn,
+    symmetry_rules,
+)
 
 REL = 1e-12
 ABS = 1e-14
@@ -245,6 +251,79 @@ def test_rule_from_values_zero_outside_support():
     assert seq.eval(3) == 3.0
     assert seq.eval(4) == 0.0
     assert np.all(seq.values(np.array([4, 100])) == 0)
+
+
+def assert_same_lookup(got, want):
+    """Equal shape, dtype and values; NaN only where the reference has NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    for part in ("real", "imag"):
+        assert np.array_equal(getattr(got, part), getattr(want, part), equal_nan=True)
+
+
+def lookup_indices(n):
+    """Indices before, at both ends of, just past and far past ``1..n``."""
+    return np.array([-5, 0, 1, n, n + 1, 2**24], dtype=np.int64)
+
+
+def lookup_arrays():
+    rng = np.random.default_rng(18)
+    special = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    special[0, 0] = complex(np.nan, 1.0)
+    special[1, 2] = complex(np.inf, -np.inf)
+    special[4, 3] = complex(-np.inf, np.nan)
+    special[2, 1] = -0.0
+    return {
+        "complex": rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)),
+        "real": rng.normal(size=(6, 3)),
+        "nan-inf": special,
+        "empty": np.zeros((0, 0)),
+        "no-rows": np.zeros((0, 3)),
+        "no-cols": np.zeros((3, 0)),
+        "1x1": np.array([[2.5 - 1j]]),
+    }
+
+
+class TestPaddedLookups:
+    """The zero-padded lookups equal the masked ones they replaced."""
+
+    @pytest.mark.parametrize("name", list(lookup_arrays()))
+    def test_rule_from_values_equals_masked_lookup(self, name):
+        values = lookup_arrays()[name].ravel()
+        seq, ref = rule_from_values(values), masked_values_fn(values)
+        ks = lookup_indices(values.size)
+        for k in ks:  # 0-d
+            assert_same_lookup(seq.fn(np.array(k)), ref(np.array(k)))
+        for idx in (ks, ks.reshape(2, 3), ks[:, None], ks[:0]):
+            assert_same_lookup(seq.fn(idx), ref(idx))
+            assert_same_lookup(seq.values(idx), SequenceRule(ref).values(idx))
+
+    @pytest.mark.parametrize("name", list(lookup_arrays()))
+    def test_table_rule_equals_masked_lookup(self, name):
+        table = lookup_arrays()[name]
+        c, ref = table_rule(table), masked_table_fn(table)
+        js, ks = lookup_indices(table.shape[0]), lookup_indices(table.shape[1])
+        pairs = [(np.array(j), np.array(k)) for j in js for k in ks]  # 0-d
+        pairs += [
+            (js, ks),  # 1-D
+            (js[:, None], ks[None, :]),  # (a, 1) x (1, b)
+            tuple(np.meshgrid(js, ks, indexing="ij")),  # full 2-D
+            (js[:, None], ks[None, :4]),
+            (np.array(js[2]), ks),  # 0-d against 1-D
+            (js[:, None], np.array(ks[3])),
+            (js[:0], ks[:0]),
+        ]
+        for j, k in pairs:
+            assert_same_lookup(c.fn(j, k), ref(j, k))
+            assert_same_lookup(c.values(j, k), DoubleSequenceRule(ref).values(j, k))
+
+    def test_lookups_keep_no_reference_to_the_input(self):
+        values = np.arange(1.0, 6.0) + 0j
+        table = values.reshape(1, 5).copy()
+        seq, c = rule_from_values(values), table_rule(table)
+        values[:] = table[:] = 0
+        assert seq.eval(5) == 5.0 and c.eval(1, 5) == 5.0
 
 
 def test_table_rule_support_box():
