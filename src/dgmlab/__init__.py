@@ -9,6 +9,7 @@ and the explicit divergence example with its certificate.
 
 from .convergence import (
     DECAY_CONDITIONS,
+    GRID_ABSCISSA_LIMIT,
     TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
     DecayReport,
@@ -20,6 +21,7 @@ from .convergence import (
     decay_report,
     double_partial_sum,
     grid_points,
+    grid_size_bound,
     log_integral_bound,
     mixed_diff_tails,
     rational_point_convergence,

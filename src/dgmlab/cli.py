@@ -31,6 +31,7 @@ import numpy as np
 from . import counterexample as cex
 from .convergence import (
     DECAY_CONDITIONS,
+    GRID_ABSCISSA_LIMIT,
     TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
     DecaySample,
@@ -39,6 +40,7 @@ from .convergence import (
     ProfileEntry,
     classify_decay,
     decay_report,
+    grid_size_bound,
     log_integral_bound,
     rational_point_convergence,
     regular_remainder_sup,
@@ -376,9 +378,14 @@ def _run_converge(args: argparse.Namespace) -> _Run:
             raise UsageError("at-rational", str(exc)) from None
         where = f"rational point ({l1},{l2}) of step {gr}"
     else:
+        points = _step("points-per-band", args.points_per_band)
+        for name, bound in (("grid-r", grid_size_bound(gr, 1)),
+                            ("points-per-band", grid_size_bound(gr, points))):
+            if bound > GRID_ABSCISSA_LIMIT:
+                raise UsageError(name, f"the grid may have {bound} abscissas, "
+                                       f"more than {GRID_ABSCISSA_LIMIT}")
         try:
-            grid = GridSpec(r=gr, points_per_band=_step("points-per-band", args.points_per_band),
-                            exclusion_radius=args.exclusion)
+            grid = GridSpec(r=gr, points_per_band=points, exclusion_radius=args.exclusion)
         except ValueError as exc:
             raise UsageError("grid-r", str(exc)) from None
         profile = regular_remainder_sup(c, grid, thresholds, caps)

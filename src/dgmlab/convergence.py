@@ -42,6 +42,12 @@ VERDICT_WINDOW = 4
 EXACT_GENERAL_CAP = 128
 CORNER_TABLE_CAP = 2048
 
+# most abscissas per grid axis, so at most 4096 (x, y) pairs: about 3 MB of
+# per-pair records, and a few minutes at the costliest per-pair paths
+# (about 39 ms a pair on the general exact path at cap 128, 25 ms on the
+# sampled path at cap 2048 for a complex table)
+GRID_ABSCISSA_LIMIT = 64
+
 
 class ConvergenceVerdict(enum.Enum):
     CONVERGING = "converging"
@@ -72,8 +78,17 @@ class GridSpec:
             raise ValueError("grid step r must be >= 1")
         if self.points_per_band < 1:
             raise ValueError("points_per_band must be >= 1")
+        if grid_size_bound(self.r, self.points_per_band) > GRID_ABSCISSA_LIMIT:
+            raise ValueError(f"a grid of step {self.r} with {self.points_per_band} points "
+                             f"per band may have more than {GRID_ABSCISSA_LIMIT} abscissas")
         if not 0 < self.exclusion_radius < math.pi / (4 * self.r):
             raise ValueError("exclusion_radius out of range")
+
+
+def grid_size_bound(r: int, points_per_band: int) -> int:
+    """At most this many abscissas in the grid of step r: r // 2 + 1 bands,
+    each with its interior points and one point inside each singular edge."""
+    return (r // 2 + 1) * (points_per_band + 2)
 
 
 def grid_points(spec: GridSpec) -> np.ndarray:
@@ -189,67 +204,112 @@ def frontier_product_max(a: np.ndarray, b: np.ndarray,
     return out
 
 
+# rows of the rule per evaluation in the sampled path, and grid points per
+# batch in the sampled and general-exact paths: the working set is one row
+# block plus a few running rows (sampled) or tables (general) per point of
+# a batch, whatever the grid size
+_ROWS = 64
+_POINTS = 64
+_GENERAL_POINTS = 8
+
+
+def _distinct(zs) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``zs``, bit for bit, and the position of each
+    entry of ``zs`` among them."""
+    bits, where = np.unique(np.asarray(zs, dtype=float).view(np.int64), return_inverse=True)
+    return bits.view(float), where
+
+
 def _point_sups_product(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
+    """The start maxima of u are computed once per distinct x and those of
+    v once per distinct y.  The y side is held in batches of about the
+    working set of a sampled batch, ``_POINTS`` rows of ``CORNER_TABLE_CAP``
+    entries; each batch computes the x side once more."""
     u, v = c.factors
     ms = np.arange(1, caps[0] + 1)
     ns = np.arange(1, caps[1] + 1)
     u_vals = u.values(ms).real
     v_vals = v.values(ns).real
-    results = []
-    for x, y in points:
-        pu = _start_maxima(np.concatenate(([0.0], np.cumsum(u_vals * np.sin(ms * x)))))
-        pv = _start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
-        # rectangles with m + n > t
-        best = frontier_product_max(pu, pv, [t + 1 for t in thresholds])
-        results.append([e if math.isfinite(e[0]) else (0.0, 0, 0) for e in best])
+    sums = [t + 1 for t in thresholds]  # rectangles with m + n > t
+    xs, xi = _distinct([x for x, _ in points])
+    ys, yi = _distinct([y for _, y in points])
+    per_batch = max(1, _POINTS * CORNER_TABLE_CAP // caps[1])
+    results = [None] * len(points)
+    for y0 in range(0, ys.size, per_batch):
+        pv = [_start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
+              for y in ys[y0:y0 + per_batch].tolist()]
+        by_x: dict[int, list[int]] = {}
+        for p in np.flatnonzero((yi >= y0) & (yi < y0 + per_batch)).tolist():
+            by_x.setdefault(int(xi[p]), []).append(p)
+        for a, todo in by_x.items():
+            pu = _start_maxima(np.concatenate(([0.0], np.cumsum(u_vals * np.sin(ms * xs[a])))))
+            for p in todo:
+                best = frontier_product_max(pu, pv[yi[p] - y0], sums)
+                results[p] = [e if math.isfinite(e[0]) else (0.0, 0, 0) for e in best]
     return results
 
 
 def _point_sups_general(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
-    """Exact scan for real rules at small caps, O(cap^3) per point."""
+    """Exact scan for real rules at small caps, O(cap^3) per point, in
+    batches of ``_GENERAL_POINTS`` points."""
     js = np.arange(1, caps[0] + 1)
     ks = np.arange(1, caps[1] + 1)
     vals = c.values(js[:, None], ks[None, :]).real
-    return [_general_scan(vals * np.outer(np.sin(js * x), np.sin(ks * y)), thresholds)
-            for x, y in points]
+    results = []
+    for p0 in range(0, len(points), _GENERAL_POINTS):
+        batch = points[p0:p0 + _GENERAL_POINTS]
+        results += _general_scan(np.stack([vals * np.outer(np.sin(js * x), np.sin(ks * y))
+                                           for x, y in batch]), thresholds)
+    return results
 
 
-def _general_scan(table: np.ndarray,
-                  thresholds: Sequence[int]) -> list[tuple[float, int, int]]:
-    """Sup of |rectangle sum| of ``table`` per threshold, with the maximizer
-    of smallest m, then smallest M, then smallest n."""
-    cap_m, cap_n = table.shape
-    col_prefix = np.vstack([np.zeros(cap_n), np.cumsum(table, axis=0)])
-    best = [(-math.inf, 0, 0, 0)] * len(thresholds)
+def _general_scan(tables: np.ndarray,
+                  thresholds: Sequence[int]) -> list[list[tuple[float, int, int]]]:
+    """Per table of the (points, rows, cols) stack ``tables``, the sup of
+    |rectangle sum| per threshold, with the maximizer of smallest m, then
+    smallest M, then smallest n."""
+    count, cap_m, cap_n = tables.shape
+    col_prefix = np.zeros((count, cap_m + 1, cap_n))
+    np.cumsum(tables, axis=1, out=col_prefix[:, 1:])
+    at = np.arange(count)
+    best = np.full((len(thresholds), count), -math.inf)
+    strips = np.zeros((len(thresholds), count, 2), dtype=np.int64)  # the winning m, M
     for m in range(1, cap_m + 1):
-        # row i: prefix sums along k of the strip of rows m..M, M = m + i
-        h = np.zeros((cap_m - m + 1, cap_n + 1))
-        np.cumsum(col_prefix[m:] - col_prefix[m - 1], axis=1, out=h[:, 1:])
+        # row i of a point: prefix sums along k of the strip of rows m..M, M = m + i
+        h = np.zeros((count, cap_m - m + 1, cap_n + 1))
+        np.cumsum(col_prefix[:, m:] - col_prefix[:, m - 1:m], axis=2, out=h[:, :, 1:])
         sw = _suffix_max(_start_maxima(h))
         for ti, t in enumerate(thresholds):
             a = max(1, t + 1 - m)
             if a > cap_n:
                 continue
-            col = sw[:, a - 1]
-            i = int(np.argmax(col))
-            if math.isnan(col[i]):
-                # argmax picks the first NaN; a NaN strip never wins a `>` test
-                col = np.where(np.isnan(col), -np.inf, col)
-                i = int(np.argmax(col))
-            if col[i] > best[ti][0]:
-                best[ti] = (float(col[i]), m, m + i, a)
+            # a NaN strip never wins a `>` test
+            col = sw[:, :, a - 1]
+            col = np.where(np.isnan(col), -np.inf, col)
+            i = np.argmax(col, axis=1)
+            top = col[at, i]
+            win = top > best[ti]
+            best[ti, win] = top[win]
+            strips[ti, win, 0] = m
+            strips[ti, win, 1] = (m + i)[win]
     out = []
-    for val, m, M, a in best:
-        if not math.isfinite(val):
-            out.append((0.0, 0, 0))
-            continue
-        strip = col_prefix[M] - col_prefix[m - 1]
-        pw = _start_maxima(np.concatenate(([0.0], np.cumsum(strip))))
-        out.append((val, m, a + int(np.argmax(pw[a - 1:]))))
+    for p in range(count):
+        row = []
+        for ti, t in enumerate(thresholds):
+            val = float(best[ti, p])
+            if not math.isfinite(val):
+                row.append((0.0, 0, 0))
+                continue
+            m, M = strips[ti, p].tolist()
+            a = max(1, t + 1 - m)
+            strip = col_prefix[p, M] - col_prefix[p, m - 1]
+            pw = _start_maxima(np.concatenate(([0.0], np.cumsum(strip))))
+            row.append((val, m, a + int(np.argmax(pw[a - 1:]))))
+        out.append(row)
     return out
 
 
@@ -266,15 +326,16 @@ def _corner_ladder(cap: int) -> np.ndarray:
 def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                         thresholds: Sequence[int],
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
-    """Lower-bound sampling over log-spaced rectangle corners."""
+    """Lower-bound sampling over log-spaced rectangle corners.
+
+    One sweep over the rows, ``_ROWS`` per rule evaluation, per batch of
+    ``_POINTS`` points folds each row into one running row of column
+    prefix sums per point, and keeps the prefix sums along k of the ladder
+    rows at the ladder columns only."""
     cap_m = min(caps[0], CORNER_TABLE_CAP)
     cap_n = min(caps[1], CORNER_TABLE_CAP)
     js = np.arange(1, cap_m + 1)
     ks = np.arange(1, cap_n + 1)
-    vals = c.values(js[:, None], ks[None, :])
-    if c.real:
-        # |re + 0j| == |re|, so the float table gives the same sums bit for bit
-        vals = vals.real.copy()
 
     lad_m, lad_n = _corner_ladder(cap_m), _corner_ladder(cap_n)
     pairs_m = [(m, M) for m in lad_m for M in lad_m if M >= m]
@@ -284,31 +345,55 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
     an = np.array([p[0] for p in pairs_n])
     aN = np.array([p[1] for p in pairs_n])
     sums = am[:, None] + an[None, :]
-    # only the prefix rows M and m - 1 of the ladder corners are read;
-    # row 0 of ``pref`` is the zero row
+    # only the prefix rows M and m - 1 and the prefix columns N and n - 1 of
+    # the ladder corners are read; row 0 and column 0 are zero
     rows = np.union1d(lad_m, lad_m - 1)[1:]
+    cols = np.union1d(lad_n, lad_n - 1)
     at = np.zeros(cap_m + 1, dtype=np.int64)
     at[rows] = np.arange(1, rows.size + 1)
     hi, lo = at[aM][:, None], at[am - 1][:, None]
+    col_at = np.zeros(cap_n + 1, dtype=np.int64)
+    col_at[cols] = np.arange(cols.size)
+    hi_n, lo_n = col_at[aN][None, :], col_at[an - 1][None, :]
+    kept = np.zeros(cap_m + 1, dtype=bool)
+    kept[rows] = True
+    dtype = float if c.real else complex
     results = []
-    for x, y in points:
-        table = vals * np.outer(np.sin(js * x), np.sin(ks * y))
-        for i in range(1, cap_m):
-            # row by row: the bits of cumsum(axis=0), with contiguous rows
-            np.add(table[i - 1], table[i], out=table[i])
-        pref = np.zeros((rows.size + 1, cap_n + 1), dtype=table.dtype)
-        np.cumsum(table[rows - 1], axis=1, out=pref[1:, 1:])
-        rect = np.abs(pref[hi, aN[None, :]] - pref[lo, aN[None, :]]
-                      - pref[hi, an[None, :] - 1] + pref[lo, an[None, :] - 1])
-        out = []
-        for t in thresholds:
-            masked = np.where(sums > t, rect, -np.inf)
-            i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-            if not np.isfinite(masked[i, j]):
-                out.append((0.0, 0, 0))
-            else:
-                out.append((float(masked[i, j]), int(am[i]), int(an[j])))
-        results.append(out)
+    for p0 in range(0, len(points), _POINTS):
+        batch = points[p0:p0 + _POINTS]
+        sx = np.stack([np.sin(js * x) for x, _ in batch], axis=1)
+        sy = np.stack([np.sin(ks * y) for _, y in batch])
+        pref = np.zeros((len(batch), rows.size + 1, cols.size), dtype=dtype)
+        # acc: the running column prefix sums, one row per point; the terms
+        # and sums of the full table's row-by-row prefix, bit for bit
+        sines = np.empty(sy.shape)
+        acc = np.empty(sy.shape, dtype=dtype)
+        term = sines if c.real else np.empty(sy.shape, dtype=dtype)
+        for i0 in range(0, cap_m, _ROWS):
+            vals = c.values(js[i0:i0 + _ROWS, None], ks[None, :])
+            if c.real:
+                # |re + 0j| == |re|, so the float rows give the same sums bit for bit
+                vals = vals.real.copy()
+            for i, row in enumerate(vals, i0):
+                np.multiply(sx[i][:, None], sy, out=sines)
+                if i == 0:
+                    np.multiply(row, sines, out=acc)
+                else:
+                    np.add(acc, np.multiply(row, sines, out=term), out=acc)
+                if kept[i + 1]:
+                    pref[:, at[i + 1], 1:] = np.cumsum(acc, axis=1)[:, cols[1:] - 1]
+        for p in range(len(batch)):
+            pp = pref[p]
+            rect = np.abs(pp[hi, hi_n] - pp[lo, hi_n] - pp[hi, lo_n] + pp[lo, lo_n])
+            out = []
+            for t in thresholds:
+                masked = np.where(sums > t, rect, -np.inf)
+                i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+                if not np.isfinite(masked[i, j]):
+                    out.append((0.0, 0, 0))
+                else:
+                    out.append((float(masked[i, j]), int(am[i]), int(an[j])))
+            results.append(out)
     return results
 
 
@@ -316,7 +401,7 @@ def _point_sups(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
                 thresholds: Sequence[int], caps: tuple[int, int],
                 ) -> tuple[list[list[tuple[float, int, int]]], bool]:
     """Per point (x, y), the (sup, m, n) of each threshold, and whether the
-    sups are exact.  The rule is evaluated once for all the points."""
+    sups are exact."""
     if c.factors is not None and c.real:
         return _point_sups_product(c, points, thresholds, caps), True
     # rows/columns beyond a support contribute nothing to the exact scan
@@ -362,6 +447,8 @@ def regular_remainder_sup(c: DoubleSequenceRule, grid, thresholds: Sequence[int]
     pts = grid_points(grid) if isinstance(grid, GridSpec) else np.asarray(grid, float)
     if pts.size == 0:
         raise ValueError("empty abscissa grid")
+    if pts.size > GRID_ABSCISSA_LIMIT:
+        raise ValueError(f"more than {GRID_ABSCISSA_LIMIT} grid abscissas")
     pairs = [(float(x), float(y)) for x in pts for y in pts]
     results, exact = _point_sups(c, pairs, ts, caps)
     entries = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -34,16 +35,25 @@ class _RowFormats(dict):
         return fmt
 
 
+# most rows formatted by one %-operation
+_BATCH_ROWS = 4096
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Comma-joined lines.  Nothing is quoted: every field the lab writes is
-    a number, ``true``/``false`` or a fixed name without commas."""
+    a number, ``true``/``false`` or a fixed name without commas.  A run of
+    rows with one row-type signature is formatted ``_BATCH_ROWS`` at a time
+    by one repeated line format."""
     formats = _RowFormats()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fmt = formats[tuple(map(type, row))]
-            fh.write(fmt % tuple(row) if fmt is not None
-                     else ",".join(map(fmt_value, row)) + "\n")
+        for signature, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+            fmt = formats[signature]
+            if fmt is None:
+                fh.writelines(",".join(map(fmt_value, row)) + "\n" for row in run)
+                continue
+            while batch := list(itertools.islice(run, _BATCH_ROWS)):
+                fh.write(fmt * len(batch) % tuple(itertools.chain.from_iterable(batch)))
 
 
 def _ticks(lo: float, hi: float) -> list[float]:

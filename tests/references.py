@@ -16,6 +16,13 @@ These must equal their replacements bit for bit (``==``):
   replaced, in value (NaN where the reference is NaN), shape and dtype.
 * ``four_call_partial_sum_bound``, which evaluated the rule four times
   where ``partial_sum_bound`` now slices one evaluation.
+* ``per_row_write_csv``, which formatted and wrote one row at a time
+  where ``write_csv`` now formats a batch of rows of one type at once.
+* The per-point remainder paths that the batched ones replaced:
+  ``per_point_sampled_sups`` built the whole table and one product table
+  per point, ``per_pair_product_sups`` computed both axes' start maxima
+  for every pair, and ``one_table_general_scan`` scanned one point's
+  table at a time.
 
 These must agree with their replacements to a relative 1e-12:
 
@@ -30,9 +37,13 @@ import math
 import numpy as np
 
 from dgmlab.convergence import (
+    CORNER_TABLE_CAP,
     _build_decay_report,
+    _corner_ladder,
     _decay_thresholds,
+    _start_maxima,
     _suffix_max,
+    frontier_product_max,
     mixed_diff_tails,
     row_diff_tail_sups,
     row_tail_sups,
@@ -40,6 +51,7 @@ from dgmlab.convergence import (
 from dgmlab.counterexample import double_rule
 from dgmlab.kernels import PartialSumBound, band_index, kernel_band_bound
 from dgmlab.membership import BoundFamily, BoundValue, _window_sums
+from dgmlab.output import _RowFormats, fmt_value
 from dgmlab.sequences import (
     additive_rule,
     geometric_double_rule,
@@ -308,3 +320,114 @@ def four_call_partial_sum_bound(seq, n, N, r, x):
     else:
         stated = math.pi / (2.0 * (l + 1) * math.pi - r * x)
     return PartialSumBound(pref * term_sum, pref, stated, term_sum, l, half)
+
+
+def per_point_sampled_sups(c, points, thresholds, caps):
+    """The sampled remainder path with the whole rule table and one product
+    table per point."""
+    cap_m = min(caps[0], CORNER_TABLE_CAP)
+    cap_n = min(caps[1], CORNER_TABLE_CAP)
+    js = np.arange(1, cap_m + 1)
+    ks = np.arange(1, cap_n + 1)
+    vals = c.values(js[:, None], ks[None, :])
+    if c.real:
+        vals = vals.real.copy()
+
+    lad_m, lad_n = _corner_ladder(cap_m), _corner_ladder(cap_n)
+    pairs_m = [(m, M) for m in lad_m for M in lad_m if M >= m]
+    pairs_n = [(n, N) for n in lad_n for N in lad_n if N >= n]
+    am = np.array([p[0] for p in pairs_m])
+    aM = np.array([p[1] for p in pairs_m])
+    an = np.array([p[0] for p in pairs_n])
+    aN = np.array([p[1] for p in pairs_n])
+    sums = am[:, None] + an[None, :]
+    rows = np.union1d(lad_m, lad_m - 1)[1:]
+    at = np.zeros(cap_m + 1, dtype=np.int64)
+    at[rows] = np.arange(1, rows.size + 1)
+    hi, lo = at[aM][:, None], at[am - 1][:, None]
+    results = []
+    for x, y in points:
+        table = vals * np.outer(np.sin(js * x), np.sin(ks * y))
+        for i in range(1, cap_m):
+            np.add(table[i - 1], table[i], out=table[i])
+        pref = np.zeros((rows.size + 1, cap_n + 1), dtype=table.dtype)
+        np.cumsum(table[rows - 1], axis=1, out=pref[1:, 1:])
+        rect = np.abs(pref[hi, aN[None, :]] - pref[lo, aN[None, :]]
+                      - pref[hi, an[None, :] - 1] + pref[lo, an[None, :] - 1])
+        out = []
+        for t in thresholds:
+            masked = np.where(sums > t, rect, -np.inf)
+            i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+            if not np.isfinite(masked[i, j]):
+                out.append((0.0, 0, 0))
+            else:
+                out.append((float(masked[i, j]), int(am[i]), int(an[j])))
+        results.append(out)
+    return results
+
+
+def per_pair_product_sups(c, points, thresholds, caps):
+    """The product remainder path with both start maxima computed per pair."""
+    u, v = c.factors
+    ms = np.arange(1, caps[0] + 1)
+    ns = np.arange(1, caps[1] + 1)
+    u_vals = u.values(ms).real
+    v_vals = v.values(ns).real
+    results = []
+    for x, y in points:
+        pu = _start_maxima(np.concatenate(([0.0], np.cumsum(u_vals * np.sin(ms * x)))))
+        pv = _start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
+        best = frontier_product_max(pu, pv, [t + 1 for t in thresholds])
+        results.append([e if math.isfinite(e[0]) else (0.0, 0, 0) for e in best])
+    return results
+
+
+def one_table_general_scan(table, thresholds):
+    """The general exact scan of one point's table."""
+    cap_m, cap_n = table.shape
+    col_prefix = np.vstack([np.zeros(cap_n), np.cumsum(table, axis=0)])
+    best = [(-math.inf, 0, 0, 0)] * len(thresholds)
+    for m in range(1, cap_m + 1):
+        h = np.zeros((cap_m - m + 1, cap_n + 1))
+        np.cumsum(col_prefix[m:] - col_prefix[m - 1], axis=1, out=h[:, 1:])
+        sw = _suffix_max(_start_maxima(h))
+        for ti, t in enumerate(thresholds):
+            a = max(1, t + 1 - m)
+            if a > cap_n:
+                continue
+            col = sw[:, a - 1]
+            i = int(np.argmax(col))
+            if math.isnan(col[i]):
+                col = np.where(np.isnan(col), -np.inf, col)
+                i = int(np.argmax(col))
+            if col[i] > best[ti][0]:
+                best[ti] = (float(col[i]), m, m + i, a)
+    out = []
+    for val, m, M, a in best:
+        if not math.isfinite(val):
+            out.append((0.0, 0, 0))
+            continue
+        strip = col_prefix[M] - col_prefix[m - 1]
+        pw = _start_maxima(np.concatenate(([0.0], np.cumsum(strip))))
+        out.append((val, m, a + int(np.argmax(pw[a - 1:]))))
+    return out
+
+
+def per_point_general_sups(c, points, thresholds, caps):
+    """The general exact path, one point's table at a time."""
+    js = np.arange(1, caps[0] + 1)
+    ks = np.arange(1, caps[1] + 1)
+    vals = c.values(js[:, None], ks[None, :]).real
+    return [one_table_general_scan(vals * np.outer(np.sin(js * x), np.sin(ks * y)), thresholds)
+            for x, y in points]
+
+
+def per_row_write_csv(path, header, rows):
+    """``write_csv`` with one %-operation and one write per row."""
+    formats = _RowFormats()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fmt = formats[tuple(map(type, row))]
+            fh.write(fmt % tuple(row) if fmt is not None
+                     else ",".join(map(fmt_value, row)) + "\n")

@@ -489,6 +489,38 @@ class TestBoundedInputs:
         assert captured.err.startswith(f"error: field '{field}'")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, config, field", [
+        (["--grid-r", "5"], "", "grid-r"),
+        (["--points-per-band", "3"], "", "points-per-band"),
+        (["--grid", "r=1,points=7"], "", "points-per-band"),
+        (["--grid", "r=16"], "", "grid-r"),
+        ([], "grid-r = 5\n", "grid-r"),
+        ([], "grid = r=3,points=3\n", "points-per-band"),
+        (["--grid-r", str(10**30)], "", "grid-r"),
+    ])
+    def test_grid_past_its_limit(self, tmp_path, capsys, monkeypatch, argv, config, field):
+        # with the limit at 8 abscissas; refused before any grid is built
+        monkeypatch.setattr(cli, "GRID_ABSCISSA_LIMIT", 8)
+        monkeypatch.setattr(cli, "GridSpec", None)
+        monkeypatch.setattr(cli, "regular_remainder_sup", None)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(config)
+        assert run(tmp_path, "converge", "--seq", "geometric", "--cap", "64",
+                   "--config", str(cfg), *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: field '{field}': the grid may have ")
+        assert captured.err.endswith("abscissas, more than 8\n")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "profile.csv").exists()
+
+    def test_grid_at_its_limit_runs(self, tmp_path, capsys, monkeypatch):
+        # step 3 with 2 points per band: at most (3 // 2 + 1) * (2 + 2) = 8 abscissas
+        monkeypatch.setattr(cli, "GRID_ABSCISSA_LIMIT", 8)
+        assert run(tmp_path, "converge", "--seq", "geometric", "--cap", "64",
+                   "--grid", "r=3,points=2", "--no-plot") == 0
+        assert "(49 points)" in capsys.readouterr().out
+
     def test_largest_octave_is_accepted(self):
         assert _octave_starts(range(23, 25)) == [2**23, HORIZON_LIMIT]
 

@@ -8,8 +8,10 @@ import pytest
 
 from dgmlab import convergence
 from dgmlab.convergence import (
+    CORNER_TABLE_CAP,
     DECAY_CONDITIONS,
     EXACT_GENERAL_CAP,
+    GRID_ABSCISSA_LIMIT,
     TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
     DecayReport,
@@ -26,6 +28,7 @@ from dgmlab.convergence import (
     frontier_product_max,
     frontier_samples,
     grid_points,
+    grid_size_bound,
     log_integral_bound,
     mixed_diff_tails,
     rational_point_convergence,
@@ -54,6 +57,9 @@ from references import (
     loop_mixed_diff_tail,
     loop_row_diff_tail,
     loop_row_tail,
+    per_pair_product_sups,
+    per_point_general_sups,
+    per_point_sampled_sups,
     profile_product_max,
     window_product_max,
 )
@@ -322,7 +328,7 @@ class TestPointSups:
         ts = [1, 2, 3, 5, 8]
         for shape in [(6, 6), (7, 4), (3, 8)] * 10:
             table = rng.integers(-1, 2, size=shape).astype(float)
-            assert _general_scan(table, ts) == loop_general_scan(table, ts)
+            assert _general_scan(table[None], ts) == [loop_general_scan(table, ts)]
 
     def test_general_scan_skips_nan_strips_like_the_loop(self):
         table = np.random.default_rng(4).normal(size=(7, 7))
@@ -413,6 +419,195 @@ class TestFrontierProductMax:
             for caps, ts in [((16, 16), [1, 4, 9, 20]), ((12, 7), [2, 5, 18])]:
                 assert (_point_sups_product(c, points, ts, caps)
                         == scan_point_sups_product(c, points, ts, caps)), c.label
+
+
+def _pairs(xs):
+    return [(float(x), float(y)) for x in xs for y in xs]
+
+
+POINTS_1 = [(0.5, 2.0)]
+POINTS_49 = _pairs(grid_points(GridSpec(r=3, points_per_band=2)))
+POINTS_81 = _pairs(np.linspace(0.3, 3.1, 9))
+# repeated and unsorted pairs: the product path shares one abscissa's maxima
+POINTS_MIXED = [(2.0, 0.5), (0.5, 2.0), (2.0, 0.5), (0.3, 0.3), (2.0, 0.3), (0.5, 0.5)]
+
+
+def _constants(monkeypatch, value):
+    """Patch the row-block and point-batch sizes; None keeps the defaults."""
+    if value is not None:
+        for name in ("_ROWS", "_POINTS", "_GENERAL_POINTS"):
+            monkeypatch.setattr(convergence, name, value)
+
+
+class TestBatchedRemainderPaths:
+    """The batched paths against the per-point ones they replaced, bit for bit,
+    whatever the row-block and point-batch sizes."""
+
+    @staticmethod
+    def sampled_cases():
+        rng = np.random.default_rng(808)
+        nan = rng.normal(size=(140, 140))
+        nan[37, 90] = np.nan
+        cplx_nan = rng.normal(size=(135, 131)) + 1j * rng.normal(size=(135, 131))
+        cplx_nan[3, 7] = complex(np.nan, 0.0)
+        return [
+            ("real", table_rule(rng.normal(size=(150, 140))), (150, 140), POINTS_49),
+            ("complex", table_rule(rng.normal(size=(140, 130)) + 1j * rng.normal(size=(140, 130))),
+             (140, 130), POINTS_81),
+            ("ones", table_rule(np.ones((136, 136))), (136, 136), POINTS_49),
+            ("integers", table_rule(rng.integers(-2, 3, size=(140, 150)).astype(float)),
+             (140, 150), POINTS_81),
+            ("nan", table_rule(nan), (140, 140), POINTS_49),
+            ("complex-nan", table_rule(cplx_nan), (135, 131), POINTS_1),
+            ("rule", additive_rule(geometric_rule(0.6), power_rule(1.5)), (300, 129), POINTS_1),
+        ]
+
+    @staticmethod
+    def general_cases():
+        rng = np.random.default_rng(909)
+        nan = rng.normal(size=(10, 10))
+        nan[3, 2] = np.nan
+        return [
+            ("real", table_rule(rng.normal(size=(20, 18))), (20, 18), POINTS_49),
+            ("ones", table_rule(np.ones((12, 12))), (12, 12), POINTS_81),
+            ("integers", table_rule(rng.integers(-1, 2, size=(15, 15)).astype(float)),
+             (15, 15), POINTS_49),
+            ("nan", table_rule(nan), (10, 10), POINTS_81),
+            ("rule", additive_rule(geometric_rule(0.7), power_rule(1.2)),
+             (EXACT_GENERAL_CAP, 40), POINTS_1 + POINTS_81[::10]),
+        ]
+
+    @staticmethod
+    def product_cases():
+        rng = np.random.default_rng(61)
+        ties = [rule_from_values(rng.integers(-2, 3, size=n).astype(float)) for n in (9, 14)]
+        return [
+            ("geometric", geometric_double_rule(0.5), (4096, 4096), POINTS_49),
+            ("power", power_double_rule(1.0), (3000, 5000), POINTS_MIXED),
+            ("ties", product_rule(ties[0], ties[1]), (16, 16), POINTS_81 + POINTS_MIXED),
+            ("proposition", double_rule(2.0), (512, 512), POINTS_1),
+        ]
+
+    @classmethod
+    @functools.cache
+    def expected(cls, kind):
+        """The thresholds and, per case, the reference path's sups."""
+        ts, ref = {"sampled": ([1, 4, 40, 130], per_point_sampled_sups),
+                   "general": ([1, 2, 5, 9, 30], per_point_general_sups),
+                   "product": ([1, 4, 9, 20], per_pair_product_sups)}[kind]
+        return ts, [(name, c, caps, points, ref(c, points, ts, caps))
+                    for name, c, caps, points in getattr(cls, kind + "_cases")()]
+
+    @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
+    def test_sampled_path(self, monkeypatch, value):
+        ts, cases = self.expected("sampled")
+        _constants(monkeypatch, value)
+        for name, c, caps, points, want in cases:
+            got, exact = _point_sups(c, points, ts, caps)
+            assert not exact, name
+            assert got == want, name
+
+    def test_sampled_path_against_the_full_prefix(self):
+        # the reference knows no NaN rule: a NaN entry is left to the per-point path
+        ts = [1, 4, 40, 130]
+        for name, c, caps, points in self.sampled_cases():
+            if "nan" not in name:
+                got, _ = _point_sups(c, points[:2], ts, caps)
+                assert got == [full_prefix_sampled_sups(c, x, y, ts, caps)
+                               for x, y in points[:2]], name
+
+    @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
+    def test_sampled_path_past_the_table_cap(self, monkeypatch, value):
+        # both axes are clipped to CORNER_TABLE_CAP
+        c = additive_rule(geometric_rule(0.5), power_rule(1.5))
+        caps = (CORNER_TABLE_CAP + 52, CORNER_TABLE_CAP + 3)
+        points = POINTS_81[::40]
+        ts = [8, 40, 2090]
+        want = per_point_sampled_sups(c, points, ts, caps)
+        _constants(monkeypatch, value)
+        assert _point_sups(c, points, ts, caps) == (want, False)
+
+    @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
+    def test_general_path(self, monkeypatch, value):
+        ts, cases = self.expected("general")
+        _constants(monkeypatch, value)
+        for name, c, caps, points, want in cases:
+            got, exact = _point_sups(c, points, ts, caps)
+            assert exact, name
+            assert np.array_equal(np.array(got), np.array(want), equal_nan=True), name
+            if max(caps) <= 20:
+                loop = [loop_general_sups(c, x, y, ts, caps) for x, y in points]
+                assert np.array_equal(np.array(got), np.array(loop), equal_nan=True), name
+
+    @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
+    def test_product_path(self, monkeypatch, value):
+        ts, cases = self.expected("product")
+        _constants(monkeypatch, value)
+        for name, c, caps, points, want in cases:
+            assert _point_sups(c, points, ts, caps) == (want, True), name
+
+    def test_product_path_computes_each_abscissa_once(self, monkeypatch):
+        calls = []
+
+        def start_maxima(prefix):
+            calls.append(prefix.size)
+            return _start_maxima(prefix)
+
+        monkeypatch.setattr(convergence, "_start_maxima", start_maxima)
+        c = geometric_double_rule(0.5)
+        _point_sups(c, POINTS_49, [8, 16], (64, 48))
+        xs = {x for x, _ in POINTS_49}
+        assert sorted(calls) == sorted([65] * len(xs) + [49] * len(xs))
+
+    @pytest.mark.parametrize("points, batches", [(POINTS_49, 1), (POINTS_81, 2)])
+    def test_sampled_path_streams(self, monkeypatch, points, batches):
+        """Each rule evaluation is one row block; a batch of points
+        evaluates the rule once."""
+        sizes = []
+        values = DoubleSequenceRule.values
+
+        def counted_values(rule, *idx):
+            out = values(rule, *idx)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(DoubleSequenceRule, "values", counted_values)
+        cap_m, cap_n = 300, 200
+        c = additive_rule(geometric_rule(0.6), power_rule(1.5))
+        _point_sups(c, points, [8, 40], (cap_m, cap_n))
+        assert -(-len(points) // convergence._POINTS) == batches
+        assert max(sizes) <= convergence._ROWS * cap_n
+        assert sum(sizes) == batches * cap_m * cap_n
+
+    def test_sampled_path_holds_no_full_table(self):
+        # one float64 table over the caps would take 33.5 MB
+        c = additive_rule(geometric_rule(0.6), power_rule(1.5))
+        caps = (CORNER_TABLE_CAP, CORNER_TABLE_CAP)
+        tracemalloc.start()
+        try:
+            _point_sups(c, POINTS_49[:7], [8, 40], caps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < caps[0] * caps[1] * 8 / 4, peak
+
+
+class TestGridLimit:
+    def test_the_bound_bounds_every_accepted_grid(self):
+        for r in range(1, 45):
+            for points in range(1, GRID_ABSCISSA_LIMIT // (r // 2 + 1) - 1):
+                assert grid_size_bound(r, points) <= GRID_ABSCISSA_LIMIT
+                assert grid_points(GridSpec(r, points)).size <= grid_size_bound(r, points)
+
+    def test_over_the_limit_is_refused_before_any_grid(self, monkeypatch):
+        monkeypatch.setattr(convergence, "GRID_ABSCISSA_LIMIT", 8)
+        GridSpec(r=3, points_per_band=2)  # at most 8 abscissas
+        for r, points in [(3, 3), (4, 2), (16, 1), (10**18, 1), (1, 10**18)]:
+            with pytest.raises(ValueError, match="more than 8 abscissas"):
+                GridSpec(r=r, points_per_band=points)
+        monkeypatch.setattr(convergence, "_point_sups", None)
+        with pytest.raises(ValueError, match="more than 8 grid abscissas"):
+            regular_remainder_sup(zero_double_rule(), np.linspace(0.1, 3.0, 9), [4], (64, 64))
 
 
 class TestRemainderProfile:
