@@ -45,7 +45,13 @@ from .convergence import (
     rational_point_convergence,
     regular_remainder_sup,
 )
-from .kernels import HalfBandSweep, direct_sine_sum, kernel_bound_sweep, sbp_decompose
+from .kernels import (
+    KERNEL_STEP_LIMIT,
+    HalfBandSweep,
+    direct_sine_sum,
+    kernel_bound_sweep,
+    sbp_decompose,
+)
 from .membership import (
     BlockEvidence,
     BoundFamily,
@@ -105,9 +111,11 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
-def _step(name: str, value: int) -> int:
+def _step(name: str, value: int, high: int | None = None) -> int:
     if value < 1:
         raise UsageError(name, f"must be >= 1, got {value}")
+    if high is not None and value > high:
+        raise UsageError(name, f"must be at most {high}, got {value}")
     return int(value)
 
 
@@ -331,10 +339,11 @@ def _run_embedding(args: argparse.Namespace) -> _Run:
 def _run_sbp(args: argparse.Namespace) -> _Run:
     seq = _single_rule(args)
     n = _step("start", args.start)
-    m = _step("end", args.end)
+    # the decomposition reads a_n .. a_{end + r}: end + r <= HORIZON_LIMIT
+    m = _step("end", args.end, high=HORIZON_LIMIT - 1)
     if m < n:
         raise UsageError("end", "need end >= start")
-    r = _step("r", args.r)
+    r = _step("r", args.r, high=HORIZON_LIMIT - m)
     x = args.x
     dec = sbp_decompose(seq, n, m, r, x)
     direct = direct_sine_sum(seq, n, m, x)
@@ -352,7 +361,7 @@ def _run_sbp(args: argparse.Namespace) -> _Run:
 
 
 def _run_kernel_bound(args: argparse.Namespace) -> _Run:
-    r = _step("r", args.r)
+    r = _step("r", args.r, high=KERNEL_STEP_LIMIT)
     points = _cap("points", args.points, low=2)
     k_max = _cap("k-max", args.k_max, low=0)
     sweeps = kernel_bound_sweep(r, points, k_max)

@@ -230,8 +230,9 @@ def _point_sups_product(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
     u, v = c.factors
     ms = np.arange(1, caps[0] + 1)
     ns = np.arange(1, caps[1] + 1)
-    u_vals = u.values(ms).real
-    v_vals = v.values(ns).real
+    # real copies, so that the complex evaluations are freed
+    u_vals = u.values(ms).real.copy()
+    v_vals = v.values(ns).real.copy()
     sums = [t + 1 for t in thresholds]  # rectangles with m + n > t
     xs, xi = _distinct([x for x, _ in points])
     ys, yi = _distinct([y for _, y in points])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequenceRule
+from .sequences import HORIZON_LIMIT, SequenceRule
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,8 +93,18 @@ def kernel_band_bound(x: float, r: int, l: int) -> float:
     got_l, half = band_index(x, r)
     if got_l != l:
         raise ValueError(f"x={x!r} lies in band {got_l}, not the requested band {l}")
+    return _band_bound(x, r, l, half)
+
+
+def _band_bound(x: float, r: int, l: int, half: int) -> float:
     u = r * x / math.pi - 2 * l
     return 1.0 / (2.0 * u) if half == 0 else 1.0 / (2.0 * (2.0 - u))
+
+
+def _check_range(last: int) -> None:
+    """Refuse index ranges that end past ``HORIZON_LIMIT``."""
+    if last > HORIZON_LIMIT:
+        raise ValueError(f"indices must end at most at {HORIZON_LIMIT}, got {last}")
 
 
 @dataclass(frozen=True)
@@ -120,30 +130,31 @@ def sbp_decompose(seq: SequenceRule, n: int, m: int, r: int, x: float) -> SbpDec
     main term:      -sum_{k=n}^{m}     (a_k - a_{k+r}) cos-kernel(k,  r, x)
     upper boundary: +sum_{k=m+1}^{m+r} a_k             cos-kernel(k, -r, x)
     lower boundary: -sum_{k=n}^{n+r-1} a_k             cos-kernel(k, -r, x)
+
+    Raises ValueError when m + r passes ``HORIZON_LIMIT``.
     """
     if m < n:
         raise ValueError("need m >= n")
     if r < 1:
         raise ValueError("step r must be >= 1")
+    _check_range(m + r)
     s = _half_denominator(r, x)
 
-    # one evaluation of a_n .. a_{m+r} and one exact-cosine call over the
-    # three kernel ranges k = n..m, m+1..m+r and n..n+r-1: per-call overhead
-    # dominates at desk lengths
+    # one evaluation of a_n .. a_{m+r}, and one exact-cosine call: the three
+    # kernel ranges are slices of the one progression n - r/2 + i, i < m-n+1+r.
+    # Per-call overhead dominates at desk lengths
     length = m - n + 1
     ks = np.arange(n, m + r + 1)
     vals = seq.values(ks)
     # exactly rounded accumulation and exact-angle kernels: the identity
     # balances kernel-sized cancellations that plain float products and
     # pairwise summation only resolve to ~1e-12 at desk lengths
-    cos = _cos_exact(np.concatenate([ks[:length] + 0.5 * r, ks[length:] - 0.5 * r,
-                                     ks[:r] - 0.5 * r]), x)
-    kern = cos[:length] / (2.0 * s)
-    main = -_exact_sum((vals[:length] - vals[r:length + r]) * kern)
+    kern = _cos_exact(ks - 0.5 * r, x) / (2.0 * s)
+    main = -_exact_sum((vals[:length] - vals[r:]) * kern[r:])
 
     # kernel at step -r: cos((k - r/2) x) / (2 sin(-rx/2)) = -cos((k - r/2) x) / (2 s)
-    upper = _exact_sum(vals[length:] * (-cos[length:length + r] / (2.0 * s)))
-    lower = -_exact_sum(vals[:r] * (-cos[length + r:] / (2.0 * s)))
+    upper = _exact_sum(vals[length:] * -kern[length:])
+    lower = -_exact_sum(vals[:r] * -kern[:r])
     return SbpDecomposition(main, upper, lower)
 
 
@@ -155,21 +166,22 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
 def _cos_exact(a: np.ndarray, b: float) -> np.ndarray:
-    """cos(a * b) evaluated at the exact real product.
+    """cos(a * b) evaluated at the exact real product, for half-integers a
+    of magnitude below 2**25.
 
     Dekker two-product recovers the rounding residual of a * b; a
     first-order angle correction then removes it (the residual is ~1e-14
-    radians, so the second-order term is far below one ulp).
+    radians, so the second-order term is far below one ulp).  Only b is
+    split: such an a has at most 26 significant bits, so its Veltkamp split
+    is exact with high part a and low part 0, and the terms of the low part
+    drop out.  ``sbp_decompose`` stays inside that range because its
+    indices end at most at ``HORIZON_LIMIT`` = 2**24.
     """
-    a = np.asarray(a, dtype=float)
     prod = a * b
-    a1 = a * _SPLIT
-    ah = a1 - (a1 - a)
-    al = a - ah
     b1 = b * _SPLIT
     bh = b1 - (b1 - b)
     bl = b - bh
-    err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+    err = (a * bh - prod) + a * bl
     return np.cos(prod) - err * np.sin(prod)
 
 
@@ -177,12 +189,14 @@ def direct_sine_sum(seq: SequenceRule, n: int, m: int, x: float) -> complex:
     """Direct evaluation of ``sum_{k=n}^{m} a_k sin(kx)``.
 
     The independent oracle for the decomposition; switches to exactly
-    rounded (compensated) accumulation for long sums.
+    rounded (compensated) accumulation for long sums.  Raises ValueError
+    when m passes ``HORIZON_LIMIT``.
     """
+    _check_range(m)
     ks = np.arange(n, m + 1)
     terms = seq.values(ks) * np.sin(ks * x)
     if terms.size <= 100_000:
-        return complex(np.sum(terms))
+        return complex(terms.sum())
     re = math.fsum(terms.real.tolist())
     im = math.fsum(terms.imag.tolist())
     return complex(re, im)
@@ -212,18 +226,22 @@ def partial_sum_bound(seq: SequenceRule, n: int, N: int, r: int, x: float) -> Pa
 
     term_sum = sum_{k=n}^{N} |a_k - a_{k+r}| + sum_{k=N+1}^{N+r} |a_k|
                + sum_{k=n}^{n+r-1} |a_k|.
+
+    Raises ValueError when N + r passes ``HORIZON_LIMIT``.
     """
     if N < n:
         raise ValueError("need N >= n")
     l, half = band_index(x, r)
-    pref = kernel_band_bound(x, r, l)
+    _check_range(N + r)
+    pref = _band_bound(x, r, l, half)
     # one evaluation of a_n .. a_{N+r}, sliced as in sbp_decompose
     length = N - n + 1
     vals = seq.values(np.arange(n, N + r + 1))
+    mags = np.abs(vals)
     term_sum = float(
-        np.sum(np.abs(vals[:length] - vals[r:length + r]))
-        + np.sum(np.abs(vals[length:]))
-        + np.sum(np.abs(vals[:r]))
+        np.abs(vals[:length] - vals[r:]).sum()
+        + mags[length:].sum()
+        + mags[:r].sum()
     )
     if half == 0:
         stated = math.pi / (2.0 * (r * x - 2.0 * math.pi * l))
@@ -253,6 +271,10 @@ def half_bands(r: int) -> list[tuple[int, int, float, float]]:
         i += 1
     return out
 
+
+# largest step of the kernel sweep: it reads r half-bands of r + k_max + 1
+# shifts each, and writes one report per half-band
+KERNEL_STEP_LIMIT = 1 << 12
 
 # entries of one |cos| tile of the kernel sweep: the sweep's working set is
 # this tile plus a few arrays of one value per abscissa
@@ -284,9 +306,12 @@ def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     and the bound is monotone, so each abscissa's ratio is that of its
     largest |cos|; single entries are counted only where that ratio is over
     the threshold.  The table is filled in tiles of at most ``_TILE`` entries.
+    Raises ValueError for r outside [1, ``KERNEL_STEP_LIMIT``].
     """
     if points < 2 or k_max < 0:
         raise ValueError("need points >= 2 and k_max >= 0")
+    if not 1 <= r <= KERNEL_STEP_LIMIT:
+        raise ValueError(f"step r must be in [1, {KERNEL_STEP_LIMIT}]")
     # the rows either sign reads, and how many of the two signs read each
     ks = np.union1d(np.arange(-r, k_max - r + 1), np.arange(0, k_max + 1))
     shifts = ks + 0.5 * r

@@ -38,6 +38,7 @@ from .sequences import (
     mixed_diff_values,
     p_norm,
     row_diff_values,
+    step_diff_values,
     transpose_rule,
     window_diff_p_norm,
 )
@@ -452,7 +453,9 @@ def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
     The step-r2 difference telescopes into q = r2/r1 shifted step-r1
     differences, so each block p-norm at step r2 is bounded by the sum of
     the q (q*q for the mixed norm) shifted step-r1 window norms; needs
-    p >= 1 for the triangle inequality.
+    p >= 1 for the triangle inequality.  The shifted windows of each block
+    are slices of one step-r1 difference run per axis and of one mixed
+    step-r1 difference block.
     """
     if p < 1:
         raise ValueError("divisor embedding needs p >= 1")
@@ -466,19 +469,20 @@ def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
         for axis, rule, start, other in (("row", c, m, n), ("col", t, n, m)):
             seq = SequenceRule(lambda js: rule.values(js, other), real=c.real)
             lhs = window_diff_p_norm(seq, start, start, p, r2)
-            chain = sum(window_diff_p_norm(seq, start + i * r1, start, p, r1)
-                        for i in range(q))
+            run = step_diff_values(seq, np.arange(start, 2 * start + (q - 1) * r1), r1)
+            chain = sum(p_norm(run[i * r1:i * r1 + start], p) for i in range(q))
             checked += 1
             if not _leq(lhs, chain):
                 violations.append(EmbeddingViolation(m, n, axis, lhs, chain))
 
         lhs = double_block_p_norm(c, m, n, p, r2)
+        js = np.arange(m, 2 * m + (q - 1) * r1)
+        ks = np.arange(n, 2 * n + (q - 1) * r1)
+        block = mixed_diff_values(c, js[:, None], ks[None, :], r1)
         chain = 0.0
         for i in range(q):
             for i2 in range(q):
-                js = np.arange(m, 2 * m) + i * r1
-                ks = np.arange(n, 2 * n) + i2 * r1
-                chain += p_norm(mixed_diff_values(c, js[:, None], ks[None, :], r1), p)
+                chain += p_norm(block[i * r1:i * r1 + m, i2 * r1:i2 * r1 + n], p)
         checked += 1
         if not _leq(lhs, chain):
             violations.append(EmbeddingViolation(m, n, "mixed", lhs, chain))

@@ -113,7 +113,7 @@ class DoubleSequenceRule:
         js = np.asarray(js, dtype=np.int64)
         ks = np.asarray(ks, dtype=np.int64)
         out = np.asarray(self.fn(js, ks), dtype=complex)
-        shape = np.broadcast_shapes(js.shape, ks.shape)
+        shape = np.broadcast(js, ks).shape
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out
@@ -126,34 +126,91 @@ class DoubleSequenceRule:
 # difference operators
 
 
+def _blocks(runs, others, r: int):
+    """The differenced index ``runs``, each extended by r along its own axis,
+    with per run its axis and the slices of its first and of its r-shifted
+    entries, and the shape of the difference.
+
+    A run is one index, or consecutive ascending indices along one axis; a
+    single index gets a new leading axis.  No index, differenced or not
+    (``others``), may vary along another run's axis."""
+    shape = np.broadcast(*runs, *others).shape
+    frame = sum(idx.size == 1 for idx in runs) + len(shape)
+    blocks, cuts, lead = [], [], 0
+    for idx in runs:
+        first = int(idx.flat[0])
+        if idx.size == 1:
+            axis, lead = lead, lead + 1
+            ext, lo, hi = np.array([first, first + r]), slice(0, 1), slice(1, 2)
+        else:
+            long_axes = [a for a, n in enumerate(idx.shape) if n > 1]
+            ext = np.arange(first, first + idx.size + r)
+            if len(long_axes) != 1 or (ext[:idx.size] != idx.ravel()).any():
+                raise ValueError("a differenced index must be one index or a run "
+                                 "of consecutive ascending indices along one axis")
+            axis = frame - idx.ndim + long_axes[0]
+            lo, hi = slice(0, idx.size), slice(r, idx.size + r)
+            for other in (*runs, *others):
+                if other is not idx and other.ndim >= frame - axis \
+                        and other.shape[axis - frame] != 1:
+                    raise ValueError("the indices must not vary along a differenced run")
+        dims = [1] * frame
+        dims[axis] = ext.size
+        blocks.append(ext.reshape(dims))
+        cuts.append((axis, lo, hi))
+    return blocks, cuts, shape
+
+
+def _at(frame: int, *parts) -> tuple:
+    """Index of the block entries that take each ``(axis, slice)`` of ``parts``."""
+    key = [slice(None)] * frame
+    for axis, part in parts:
+        key[axis] = part
+    return tuple(key)
+
+
 def step_diff_values(seq: SequenceRule, ks, r: int) -> np.ndarray:
-    """Vectorized ``a_k - a_{k+r}`` over an index array."""
+    """Vectorized ``a_k - a_{k+r}`` over an index run.
+
+    The rule is evaluated once, on the run extended by r."""
     ks = np.asarray(ks, dtype=np.int64)
-    return seq.values(ks) - seq.values(ks + r)
+    (kx,), ((axis, lo, hi),), shape = _blocks((ks,), (), r)
+    b = seq.values(kx)
+    return (b[_at(b.ndim, (axis, lo))] - b[_at(b.ndim, (axis, hi))]).reshape(shape)
 
 
 def row_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
-    """Difference along the row index: ``c[j,k] - c[j+r,k]``."""
+    """Difference along the row index: ``c[j,k] - c[j+r,k]``, over a run of
+    row indices; the rule is evaluated once, on the run extended by r."""
     if c.factors is not None:
         u, v = c.factors
         return step_diff_values(u, js, r) * v.values(ks)
-    return c.values(js, ks) - c.values(np.asarray(js) + r, ks)
+    js = np.asarray(js, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    (jx,), ((axis, lo, hi),), shape = _blocks((js,), (ks,), r)
+    b = c.values(jx, ks)
+    return (b[_at(b.ndim, (axis, lo))] - b[_at(b.ndim, (axis, hi))]).reshape(shape)
 
 
 def mixed_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
     """Mixed difference, the row difference of the column difference:
-    ``c[j,k] - c[j+r,k] - c[j,k+r] + c[j+r,k+r]``."""
+    ``c[j,k] - c[j+r,k] - c[j,k+r] + c[j+r,k+r]``, over a run of row
+    indices and a run of column indices along another axis.  The rule is
+    evaluated once, on the block of both runs extended by r."""
     if c.factors is not None:
         u, v = c.factors
         return step_diff_values(u, js, r) * step_diff_values(v, ks, r)
     js = np.asarray(js, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64)
+    (jx, kx), ((aj, j0, j1), (ak, k0, k1)), shape = _blocks((js, ks), (), r)
+    b = c.values(jx, kx)
+    nd = b.ndim
     return (
-        c.values(js, ks)
-        - c.values(js + r, ks)
-        - c.values(js, ks + r)
-        + c.values(js + r, ks + r)
-    )
+        b[_at(nd, (aj, j0), (ak, k0))]
+        - b[_at(nd, (aj, j1), (ak, k0))]
+        - b[_at(nd, (aj, j0), (ak, k1))]
+        + b[_at(nd, (aj, j1), (ak, k1))]
+    ).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +219,7 @@ def mixed_diff_values(c: DoubleSequenceRule, js, ks, r: int) -> np.ndarray:
 
 def p_norm(d, p: float) -> float:
     """``(sum |d|^p)^(1/p)`` over every entry of ``d``."""
-    return float(np.sum(np.abs(d) ** p) ** (1.0 / p))
+    return float((np.abs(d) ** p).sum() ** (1.0 / p))
 
 
 def block_p_norm(seq: SequenceRule, m: int, p: float, r: int) -> float:

@@ -23,6 +23,17 @@ These must equal their replacements bit for bit (``==``):
   per point, ``per_pair_product_sups`` computed both axes' start maxima
   for every pair, and ``one_table_general_scan`` scanned one point's
   table at a time.
+* The difference operators that evaluated the rule once per operand:
+  ``two_call_step_diff_values``, ``two_call_row_diff_values`` and
+  ``four_call_mixed_diff_values``, where the library now evaluates one
+  block of the index runs extended by r and differences it by slices;
+  and ``per_window_divisor_embedding_check``, which evaluated each
+  shifted window of the divisor chain on its own.
+* ``full_split_cos_exact``, which also split the half-integer factor, and
+  ``concatenated_sbp_decompose``, which built the three kernel ranges by
+  concatenation and divided each by 2 sin(rx/2) on its own.
+
+``assert_bits_equal`` is that ``==`` for arrays that may hold NaN.
 
 These must agree with their replacements to a relative 1e-12:
 
@@ -49,20 +60,49 @@ from dgmlab.convergence import (
     row_tail_sups,
 )
 from dgmlab.counterexample import double_rule
-from dgmlab.kernels import PartialSumBound, band_index, kernel_band_bound
-from dgmlab.membership import BoundFamily, BoundValue, _window_sums
+from dgmlab.kernels import (
+    PartialSumBound,
+    SbpDecomposition,
+    _exact_sum,
+    _half_denominator,
+    band_index,
+    kernel_band_bound,
+)
+from dgmlab.membership import (
+    BoundFamily,
+    BoundValue,
+    EmbeddingReport,
+    EmbeddingViolation,
+    _leq,
+    _window_sums,
+)
 from dgmlab.output import _RowFormats, fmt_value
 from dgmlab.sequences import (
     additive_rule,
     geometric_double_rule,
     geometric_rule,
+    SequenceRule,
+    double_block_p_norm,
     mixed_diff_values,
+    p_norm,
     power_double_rule,
     row_diff_values,
     step_diff_values,
     table_rule,
     transpose_rule,
 )
+
+
+def assert_bits_equal(got, want):
+    """``==`` on the real and the imaginary parts apart, NaN exactly where
+    the reference is NaN, and the same signs of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.all(g[~nan] == w[~nan])
+        assert np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan]))
 
 
 def symmetry_rules():
@@ -431,3 +471,98 @@ def per_row_write_csv(path, header, rows):
             fmt = formats[tuple(map(type, row))]
             fh.write(fmt % tuple(row) if fmt is not None
                      else ",".join(map(fmt_value, row)) + "\n")
+
+
+def two_call_step_diff_values(seq, ks, r):
+    """``a_k - a_{k+r}`` with one rule evaluation per operand."""
+    ks = np.asarray(ks, dtype=np.int64)
+    return seq.values(ks) - seq.values(ks + r)
+
+
+def two_call_row_diff_values(c, js, ks, r):
+    """``c[j,k] - c[j+r,k]`` with one rule evaluation per operand."""
+    if c.factors is not None:
+        u, v = c.factors
+        return two_call_step_diff_values(u, js, r) * v.values(ks)
+    return c.values(js, ks) - c.values(np.asarray(js) + r, ks)
+
+
+def four_call_mixed_diff_values(c, js, ks, r):
+    """The mixed difference with one rule evaluation per operand."""
+    if c.factors is not None:
+        u, v = c.factors
+        return two_call_step_diff_values(u, js, r) * two_call_step_diff_values(v, ks, r)
+    js = np.asarray(js, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    return (
+        c.values(js, ks)
+        - c.values(js + r, ks)
+        - c.values(js, ks + r)
+        + c.values(js + r, ks + r)
+    )
+
+
+def per_window_divisor_embedding_check(c, p, r1, r2, blocks):
+    """``divisor_embedding_check`` with one difference evaluation per
+    shifted window."""
+    q = r2 // r1
+    t = transpose_rule(c)
+    violations = []
+    checked = 0
+    for m, n in blocks:
+        for axis, rule, start, other in (("row", c, m, n), ("col", t, n, m)):
+            seq = SequenceRule(lambda js: rule.values(js, other), real=c.real)
+            lhs = p_norm(two_call_step_diff_values(seq, np.arange(start, 2 * start), r2), p)
+            chain = sum(p_norm(two_call_step_diff_values(
+                seq, np.arange(start + i * r1, 2 * start + i * r1), r1), p) for i in range(q))
+            checked += 1
+            if not _leq(lhs, chain):
+                violations.append(EmbeddingViolation(m, n, axis, lhs, chain))
+
+        lhs = double_block_p_norm(c, m, n, p, r2)
+        chain = 0.0
+        for i in range(q):
+            for i2 in range(q):
+                js = np.arange(m, 2 * m) + i * r1
+                ks = np.arange(n, 2 * n) + i2 * r1
+                chain += p_norm(four_call_mixed_diff_values(c, js[:, None], ks[None, :], r1), p)
+        checked += 1
+        if not _leq(lhs, chain):
+            violations.append(EmbeddingViolation(m, n, "mixed", lhs, chain))
+    return EmbeddingReport(not violations, checked, violations)
+
+
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def full_split_cos_exact(a, b):
+    """cos(a * b) at the exact product, with both factors split."""
+    a = np.asarray(a, dtype=float)
+    prod = a * b
+    a1 = a * _SPLIT
+    ah = a1 - (a1 - a)
+    al = a - ah
+    b1 = b * _SPLIT
+    bh = b1 - (b1 - b)
+    bl = b - bh
+    err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+    return np.cos(prod) - err * np.sin(prod)
+
+
+def concatenated_sbp_decompose(seq, n, m, r, x):
+    """``sbp_decompose`` with its three kernel ranges concatenated."""
+    if m < n:
+        raise ValueError("need m >= n")
+    if r < 1:
+        raise ValueError("step r must be >= 1")
+    s = _half_denominator(r, x)
+    length = m - n + 1
+    ks = np.arange(n, m + r + 1)
+    vals = seq.values(ks)
+    cos = full_split_cos_exact(np.concatenate([ks[:length] + 0.5 * r, ks[length:] - 0.5 * r,
+                                               ks[:r] - 0.5 * r]), x)
+    kern = cos[:length] / (2.0 * s)
+    main = -_exact_sum((vals[:length] - vals[r:length + r]) * kern)
+    upper = _exact_sum(vals[length:] * (-cos[length:length + r] / (2.0 * s)))
+    lower = -_exact_sum(vals[:r] * (-cos[length + r:] / (2.0 * s)))
+    return SbpDecomposition(main, upper, lower)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dgmlab import cli
 from dgmlab.cli import _octave_starts, build_parser, main
 from dgmlab.convergence import DECAY_CONDITIONS, TAIL_HORIZON_LIMIT
+from dgmlab.kernels import KERNEL_STEP_LIMIT
 from dgmlab.sequences import HORIZON_LIMIT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -479,6 +480,12 @@ class TestBoundedInputs:
         (["kernel-bound", "--points", str(2**25)], "points"),
         (["kernel-bound", "--k-max", "-1"], "k-max"),
         (["kernel-bound", "--k-max", str(2**25)], "k-max"),
+        (["sbp", "--seq", "geometric", "--end", str(10**12)], "end"),
+        (["sbp", "--seq", "geometric", "--start", "3", "--end", "60", "--r", str(10**8)], "r"),
+        (["sbp", "--seq", "geometric", "--end", str(HORIZON_LIMIT)], "end"),
+        (["sbp", "--seq", "geometric", "--end", str(HORIZON_LIMIT - 2), "--r", "3"], "r"),
+        (["kernel-bound", "--r", str(KERNEL_STEP_LIMIT + 1)], "r"),
+        (["kernel-bound", "--r", str(10**12)], "r"),
     ])
     def test_refused_fast(self, tmp_path, capsys, argv, field):
         t0 = time.perf_counter()
@@ -520,6 +527,18 @@ class TestBoundedInputs:
         assert run(tmp_path, "converge", "--seq", "geometric", "--cap", "64",
                    "--grid", "r=3,points=2", "--no-plot") == 0
         assert "(49 points)" in capsys.readouterr().out
+
+    def test_sbp_at_the_index_bound_runs(self, tmp_path, capsys):
+        # reads a_n .. a_{end + r} with end + r = HORIZON_LIMIT
+        assert run(tmp_path, "sbp", "--seq", "power", "--start", str(HORIZON_LIMIT - 30),
+                   "--end", str(HORIZON_LIMIT - 3), "--r", "3") == 0
+        assert capsys.readouterr().out.startswith("sbp: exact")
+
+    def test_kernel_sweep_at_the_step_bound_runs(self, tmp_path):
+        assert run(tmp_path, "kernel-bound", "--r", str(KERNEL_STEP_LIMIT),
+                   "--points", "2", "--k-max", "0", "--no-plot") == 0
+        rows = (tmp_path / "kernel_bound.csv").read_text().splitlines()
+        assert len(rows) == 1 + KERNEL_STEP_LIMIT
 
     def test_largest_octave_is_accepted(self):
         assert _octave_starts(range(23, 25)) == [2**23, HORIZON_LIMIT]

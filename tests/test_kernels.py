@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dgmlab import kernels
 from dgmlab.kernels import (
+    KERNEL_STEP_LIMIT,
     HalfBandSweep,
     SingularAbscissa,
     band_index,
@@ -21,13 +22,24 @@ from dgmlab.kernels import (
     partial_sum_bound,
     sbp_decompose,
 )
+from dgmlab.membership import divisor_embedding_check
 from dgmlab.sequences import (
+    HORIZON_LIMIT,
     geometric_rule,
+    mixed_diff_values,
     power_rule,
+    row_diff_values,
     rule_from_function,
     rule_from_values,
+    step_diff_values,
+    table_rule,
 )
-from references import four_call_partial_sum_bound
+from references import (
+    assert_bits_equal,
+    concatenated_sbp_decompose,
+    four_call_partial_sum_bound,
+    full_split_cos_exact,
+)
 
 REL = 1e-12
 
@@ -290,3 +302,132 @@ class TestOneEvaluationPerCall:
         seq, calls = self.counted(rule_from_values(np.arange(1.0, 50.0)))
         call(seq)
         assert calls[0] == 1
+
+    @staticmethod
+    def counted_double(c):
+        """``c`` with the index arrays of every call its ``fn`` receives."""
+        calls = []
+
+        def fn(js, ks):
+            calls.append((np.asarray(js), np.asarray(ks)))
+            return c.fn(js, ks)
+
+        return dataclasses.replace(c, fn=fn), calls
+
+    @pytest.mark.parametrize("ks", [5, np.arange(3, 40), np.arange(2, 9)[:, None]],
+                             ids=["scalar", "run", "column"])
+    def test_step_diff_evaluates_the_rule_once(self, ks):
+        seq, calls = self.counted(rule_from_values(np.arange(1.0, 50.0)))
+        step_diff_values(seq, ks, 4)
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("js, ks", [
+        (3, 4), (np.arange(2, 13), 5), (np.arange(1, 10)[:, None], np.arange(2, 14)[None, :]),
+    ], ids=["scalars", "run-scalar", "column-row"])
+    @pytest.mark.parametrize("op", [row_diff_values, mixed_diff_values],
+                             ids=["row", "mixed"])
+    def test_difference_evaluates_the_rule_once(self, op, js, ks):
+        rng = np.random.default_rng(3)
+        c, calls = self.counted_double(table_rule(rng.normal(size=(20, 20))))
+        op(c, js, ks, 3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("r1, r2", [(1, 1), (1, 3), (2, 6)])
+    def test_divisor_check_evaluates_one_mixed_block_per_block(self, r1, r2):
+        rng = np.random.default_rng(4)
+        c, calls = self.counted_double(table_rule(rng.normal(size=(30, 30))))
+        blocks = [(1, 1), (2, 4), (4, 2), (8, 8)]
+        divisor_embedding_check(c, 1.5, r1, r2, blocks)
+        # per block: the step-r2 norm and one chain run per axis, and the
+        # step-r2 mixed norm and one chain block, whatever r2 / r1
+        mixed = [1 for js, ks in calls if js.size > 1 and ks.size > 1]
+        assert len(mixed) == 2 * len(blocks)
+        assert len(calls) == 6 * len(blocks)
+
+
+class TestExactCosine:
+    """The split-free exact cosine and the one-progression decomposition
+    against the full-split, concatenated forms, bit for bit."""
+
+    def test_split_free_cosine_equals_the_full_split(self):
+        rng = np.random.default_rng(23)
+        bound = 2**25 - 1  # twice the largest half-integer magnitude
+        twice = np.concatenate([
+            np.arange(-400, 401),
+            rng.integers(-bound, bound + 1, size=20_000),
+            [bound, -bound, 2**25 - 2, 2 * HORIZON_LIMIT, -HORIZON_LIMIT, 1, -1],
+        ])
+        a = twice / 2.0
+        bs = [1.0, 0.5, math.pi / 3, 2.0 * math.pi - 1e-7, 1e-9, 3.0000000001, -2.2,
+              float(np.nextafter(math.pi, 4.0)), math.nan]
+        bs += rng.uniform(0.0, 2.0 * math.pi, size=40).tolist()
+        for b in bs:
+            assert_bits_equal(kernels._cos_exact(a, b), full_split_cos_exact(a, b))
+
+    @staticmethod
+    def rules():
+        rng = np.random.default_rng(29)
+        vals = rng.normal(size=300) + 1j * rng.normal(size=300)
+        vals[17] = complex(np.nan, 1.0)
+        return [rule_from_values(rng.normal(size=300)),
+                rule_from_values(rng.normal(size=300) + 1j * rng.normal(size=300)),
+                rule_from_values(vals), geometric_rule(0.9), power_rule(0.5),
+                rule_from_function(lambda k: complex(1.0 / k, math.sin(k)))]
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_decomposition_equals_the_concatenated_form(self, r):
+        for seq in self.rules():
+            for n, m in [(1, 1), (1, 40), (5, 80), (37, 290), (120, 121)]:
+                for h in range(r):
+                    x = (h + 0.37) * math.pi / r
+                    got = sbp_decompose(seq, n, m, r, x)
+                    want = concatenated_sbp_decompose(seq, n, m, r, x)
+                    for part in ("main_term", "upper_boundary", "lower_boundary"):
+                        assert_bits_equal(np.array(getattr(got, part)),
+                                          np.array(getattr(want, part)))
+
+    def test_decomposition_at_the_index_bound(self):
+        seq = power_rule(0.5)
+        for r in (1, 3, 6):
+            n, m = HORIZON_LIMIT - 40 - r, HORIZON_LIMIT - r
+            for x in (0.3, 1.7, 2.9):
+                got = sbp_decompose(seq, n, m, r, x)
+                want = concatenated_sbp_decompose(seq, n, m, r, x)
+                assert got == want
+
+
+class TestIndexBound:
+    """Index ranges past ``HORIZON_LIMIT`` are refused before any array is
+    built."""
+
+    def test_sbp_refuses_past_the_bound(self):
+        seq = geometric_rule(0.5)
+        with pytest.raises(ValueError, match="at most"):
+            sbp_decompose(seq, 1, HORIZON_LIMIT, 1, 1.0)
+        with pytest.raises(ValueError, match="at most"):
+            sbp_decompose(seq, 3, 60, 10**8, 1.0)
+        with pytest.raises(ValueError, match="at most"):
+            sbp_decompose(seq, 1, 10**12, 1, 1.0)
+
+    def test_partial_sum_bound_refuses_past_the_bound(self):
+        seq = geometric_rule(0.5)
+        with pytest.raises(ValueError, match="at most"):
+            partial_sum_bound(seq, 1, HORIZON_LIMIT - 2, 3, 0.5)
+        with pytest.raises(ValueError, match="at most"):
+            partial_sum_bound(seq, 1, 10**12, 1, 1.0)
+
+    def test_direct_sum_refuses_past_the_bound(self):
+        with pytest.raises(ValueError, match="at most"):
+            direct_sine_sum(geometric_rule(0.5), 1, HORIZON_LIMIT + 1, 1.0)
+
+    def test_ranges_at_the_bound_run(self):
+        seq = power_rule(1.0)
+        n = HORIZON_LIMIT - 20
+        assert sbp_decompose(seq, n, HORIZON_LIMIT - 3, 3, 1.0).total != 0
+        assert partial_sum_bound(seq, n, HORIZON_LIMIT - 3, 3, 1.0).value > 0
+        assert direct_sine_sum(seq, n, HORIZON_LIMIT, 1.0) != 0
+
+    @pytest.mark.parametrize("r", [0, KERNEL_STEP_LIMIT + 1])
+    def test_sweep_refuses_steps_past_the_bound(self, r):
+        with pytest.raises(ValueError, match="step r"):
+            kernel_bound_sweep(r, 2, 0)

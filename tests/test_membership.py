@@ -34,9 +34,11 @@ from dgmlab.sequences import (
     window_diff_p_norm,
     zero_double_rule,
 )
+import references
 from references import (
     direct_col_bound,
     direct_col_lhs,
+    per_window_divisor_embedding_check,
     symmetry_rules,
     window_product_max,
 )
@@ -439,6 +441,28 @@ class TestEmbedding:
 
 
 class TestDivisorEmbedding:
+    @pytest.mark.parametrize("r1, r2", [(1, 1), (1, 2), (1, 3), (2, 6), (3, 6)])
+    def test_sliced_windows_equal_one_evaluation_per_window(self, r1, r2, monkeypatch):
+        """The chain read as slices of one run per axis and one mixed block,
+        against one difference evaluation per shifted window, bit for bit.
+        Every comparison is made to fail, so that each report lists every
+        left-hand side and chain."""
+        monkeypatch.setattr(membership, "_leq", lambda lhs, bound: False)
+        monkeypatch.setattr(references, "_leq", lambda lhs, bound: False)
+        rng = np.random.default_rng(37)
+        with_nan = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        with_nan[5, 9] = np.nan
+        rules = [table_rule(rng.normal(size=(24, 24))),
+                 table_rule(rng.normal(size=(24, 20)) + 1j * rng.normal(size=(24, 20))),
+                 table_rule(with_nan), geometric_double_rule(0.7),
+                 dataclasses.replace(geometric_double_rule(0.7), factors=None)]
+        blocks = [(1, 1), (2, 2), (4, 4), (8, 8), (2, 8), (8, 2), (3, 5)]
+        for c in rules:
+            for p in (1.0, 1.7, 3.0):
+                got = divisor_embedding_check(c, p, r1, r2, blocks)
+                want = per_window_divisor_embedding_check(c, p, r1, r2, blocks)
+                assert repr(got) == repr(want), (c.label, p)
+
     def test_equal_steps_zero_slack(self):
         rng = np.random.default_rng(23)
         c = table_rule(rng.normal(size=(20, 20)))

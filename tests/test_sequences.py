@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,11 +26,16 @@ from dgmlab.sequences import (
     transpose_rule,
     window_diff_p_norm,
 )
+from dgmlab.counterexample import double_rule
 from references import (
+    assert_bits_equal,
     direct_col_diff_values,
+    four_call_mixed_diff_values,
     masked_table_fn,
     masked_values_fn,
     symmetry_rules,
+    two_call_row_diff_values,
+    two_call_step_diff_values,
 )
 
 REL = 1e-12
@@ -376,3 +382,102 @@ def test_array_differences_match_pointwise_oracles():
         got = step_diff_values(seq, np.arange(1, 12), r)
         assert np.allclose(got, [step_diff(seq, k, r) for k in range(1, 12)],
                            rtol=REL, atol=ABS)
+
+
+class TestOneBlockEvaluation:
+    """Each difference operator evaluates the rule once, on the index runs
+    extended by r, and equals the operand-by-operand reference bit for bit."""
+
+    @staticmethod
+    def double_rules():
+        rng = np.random.default_rng(41)
+        nan_table = rng.normal(size=(14, 12)) + 1j * rng.normal(size=(14, 12))
+        nan_table[3, 5] = np.nan
+        nan_table[7, 1] = complex(1.0, np.nan)
+        u = rule_from_values(rng.normal(size=30) + 1j * rng.normal(size=30))
+        v = rule_from_function(lambda k: complex(1.0 / k, (-1.0) ** k / (k + 2.0)))
+        return [
+            table_rule(rng.normal(size=(15, 13)), "real"),
+            table_rule(rng.normal(size=(11, 16)) + 1j * rng.normal(size=(11, 16)), "complex"),
+            table_rule(nan_table, "nan"),
+            transpose_rule(table_rule(rng.normal(size=(9, 17)) + 1j * rng.normal(size=(9, 17)))),
+            geometric_double_rule(0.6),
+            product_rule(u, v, "product"),
+            dataclasses.replace(product_rule(u, v), factors=None, label="unhinted product"),
+            additive_rule(geometric_rule(0.5), rule_from_function(lambda k: 1j / k), "additive"),
+            double_rule(2.0),
+        ]
+
+    @staticmethod
+    def single_rules():
+        rng = np.random.default_rng(43)
+        vals = rng.normal(size=25) + 1j * rng.normal(size=25)
+        vals[4] = np.nan
+        return [rule_from_values(rng.normal(size=25)), rule_from_values(vals),
+                geometric_rule(0.7), power_rule(1.5),
+                rule_from_function(lambda k: complex(math.cos(k), 1.0 / k))]
+
+    # (row indices, column indices): every shape the callers pass
+    ROW_SHAPES = [
+        (3, 4),
+        (2, np.arange(1, 12)),
+        (np.arange(2, 13), 5),
+        (np.arange(1, 10)[:, None], np.arange(2, 14)[None, :]),
+        (np.arange(4, 11)[:, None], 6),
+        (np.arange(3, 12)[None, :], np.arange(1, 8)[:, None]),
+        (np.array([5]), np.arange(1, 9)),
+        (np.arange(1, 2)[:, None], np.arange(1, 6)[None, :]),
+    ]
+    MIXED_SHAPES = [
+        (3, 4),
+        (np.arange(1, 10)[:, None], np.arange(2, 14)[None, :]),
+        (np.arange(3, 12)[None, :], np.arange(1, 8)[:, None]),
+        (np.arange(4, 11)[:, None], 6),
+        (2, np.arange(1, 12)),
+        (np.arange(2, 13), 5),
+        (np.arange(1, 2)[:, None], np.arange(1, 2)[None, :]),
+    ]
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_step_diff_equals_two_calls(self, r):
+        for seq in self.single_rules():
+            for ks in (4, np.arange(1, 20), np.arange(3, 11)[:, None],
+                       np.arange(2, 9)[None, :], np.array([7]), np.arange(1, 2)[:, None]):
+                assert_bits_equal(step_diff_values(seq, ks, r),
+                                  two_call_step_diff_values(seq, ks, r))
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_row_diff_equals_two_calls(self, r):
+        for c in self.double_rules():
+            for js, ks in self.ROW_SHAPES:
+                assert_bits_equal(row_diff_values(c, js, ks, r),
+                                  two_call_row_diff_values(c, js, ks, r))
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_mixed_diff_equals_four_calls(self, r):
+        for c in self.double_rules():
+            for js, ks in self.MIXED_SHAPES:
+                assert_bits_equal(mixed_diff_values(c, js, ks, r),
+                                  four_call_mixed_diff_values(c, js, ks, r))
+
+    @pytest.mark.parametrize("ks", [
+        [3, 5, 4], np.arange(1, 10, 2), np.arange(9, 0, -1), np.arange(12).reshape(3, 4) + 1,
+    ], ids=["unsorted", "stride-2", "descending", "two-axes"])
+    def test_a_non_run_is_refused(self, ks):
+        seq = rule_from_values(np.arange(1.0, 30.0))
+        c = table_rule(np.ones((20, 20)))
+        with pytest.raises(ValueError, match="run"):
+            step_diff_values(seq, ks, 1)
+        with pytest.raises(ValueError, match="run"):
+            row_diff_values(c, ks, 2, 1)
+        with pytest.raises(ValueError, match="run"):
+            mixed_diff_values(c, ks, 2, 1)
+
+    def test_indices_varying_along_a_run_are_refused(self):
+        c = table_rule(np.ones((20, 20)))
+        with pytest.raises(ValueError, match="run"):
+            row_diff_values(c, np.arange(1, 6), np.arange(2, 7), 1)
+        with pytest.raises(ValueError, match="run"):
+            row_diff_values(c, np.arange(1, 6)[:, None], np.ones((5, 3), dtype=int), 1)
+        with pytest.raises(ValueError, match="run"):
+            mixed_diff_values(c, np.arange(1, 6), np.arange(2, 7), 1)
