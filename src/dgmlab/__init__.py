@@ -43,8 +43,6 @@ from .kernels import (
     SbpDecomposition,
     SingularAbscissa,
     band_index,
-    dirichlet_cos,
-    dirichlet_sin,
     direct_sine_sum,
     kernel_band_bound,
     kernel_bound_sweep,

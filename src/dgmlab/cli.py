@@ -8,8 +8,8 @@ machine-readable status:
     0  consistent / converging / decaying / verified / no violations
     1  violated / not converging / not decaying / unverified
     2  inconclusive
-    3  usage or configuration error, an input past its stated bound, or an
-       --out that cannot be written
+    3  usage or configuration error, an input past its stated bound, an
+       --out that cannot be written, or a run out of memory
 
 Options resolve in three layers: the default declared on the subcommand's
 parser, then a flat ``key = value`` config file (``--config``), then
@@ -438,7 +438,9 @@ def _run_log_integral(args: argparse.Namespace) -> _Run:
     if not p >= 1:  # also refuses NaN
         raise UsageError("p", "need p >= 1")
     value, bound = log_integral_bound(n, N, p)
-    return _Run(f"log-integral: ok value={value:.12g} bound={bound:.12g}", EXIT_PASS,
+    ok = value <= bound + 1e-12
+    return _Run(f"log-integral: {'ok' if ok else 'violated'} value={value:.12g} bound={bound:.12g}",
+                EXIT_PASS if ok else EXIT_FAIL,
                 {"log_integral.csv": (["n", "N", "p", "value", "bound"],
                                       [(n, N, p, value, bound)])})
 
@@ -673,6 +675,9 @@ def main(argv=None) -> int:
             raise UsageError("out", str(exc)) from None
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
     print(run.line)
     return run.code

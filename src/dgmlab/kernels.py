@@ -54,20 +54,6 @@ def _half_denominator(r: int, x: float) -> float:
     return s
 
 
-def dirichlet_cos(k: int, r: int, x: float) -> float:
-    """Cosine-numerator Dirichlet-type kernel; r may be negative."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return math.cos((k + 0.5 * r) * x) / (2.0 * _half_denominator(r, x))
-
-
-def dirichlet_sin(k: int, r: int, x: float) -> float:
-    """Sine-numerator Dirichlet-type kernel; r may be negative."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return math.sin((k + 0.5 * r) * x) / (2.0 * _half_denominator(r, x))
-
-
 def band_index(x: float, r: int) -> tuple[int, int]:
     """Band l = floor(rx / 2pi) and half (0: first, 1: second) containing x.
 
@@ -280,11 +266,17 @@ KERNEL_STEP_LIMIT = 1 << 12
 # this tile plus a few arrays of one value per abscissa
 _TILE = 1 << 16
 
+# fewest columns in one block of the kernel sweep's visit
+_BLOCK = 64
+
+# a ratio above this is a violation of the half-band bound
+_LIMIT = 1.0 + 1e-12
+
 
 def _jordan_bounds(xs: np.ndarray, r: int, band: int) -> np.ndarray:
     """``kernel_band_bound`` at abscissas ``xs`` inside band ``band``."""
     u = r * xs / math.pi - 2 * band
-    return np.where(u < 1.0, 1.0 / (2.0 * u), 1.0 / (2.0 * (2.0 - u)))
+    return 1.0 / (2.0 * np.where(u < 1.0, u, 2.0 - u))
 
 
 def _abs_cos(shifts: np.ndarray, xs: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -296,6 +288,13 @@ def _abs_cos(shifts: np.ndarray, xs: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.abs(tile, out=tile)
 
 
+def _denominators_and_bounds(xs: np.ndarray, r: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """2|sin(rx/2)| and the half-band bound at abscissas ``xs``.  The ratio
+    at x is the largest |cos| over these two; with |cos| at its largest, 1,
+    it is x's ceiling."""
+    return 2.0 * np.abs(np.sin(0.5 * r * xs)), _jordan_bounds(xs, r, band)
+
+
 def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     """Grid-verify |cos-kernel(k, +-r, x)| <= kernel_band_bound on each half-band.
 
@@ -304,8 +303,11 @@ def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     has the numerator of the step +r kernel at k - r, so both signs read one
     table of shifts k + r/2, k = -r..k_max.  The division by the denominator
     and the bound is monotone, so each abscissa's ratio is that of its
-    largest |cos|; single entries are counted only where that ratio is over
-    the threshold.  The table is filled in tiles of at most ``_TILE`` entries.
+    largest |cos|, and at most its ceiling, the ratio at |cos| = 1: a column
+    whose ceiling is at most the worst ratio so far and at most 1 + 1e-12
+    can change neither result, and is skipped.  Single entries are counted
+    only where a column's ratio is over the threshold.  The |cos| table is
+    filled in tiles of at most ``_TILE`` entries.
     Raises ValueError for r outside [1, ``KERNEL_STEP_LIMIT``].
     """
     if points < 2 or k_max < 0:
@@ -316,30 +318,72 @@ def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     ks = np.union1d(np.arange(-r, k_max - r + 1), np.arange(0, k_max + 1))
     shifts = ks + 0.5 * r
     reads = (ks >= 0).astype(np.int64) + (ks <= k_max - r)
-    cols = min(points, _TILE)
-    strip = max(1, _TILE // cols)
+    # columns of a block: a power of two of at least _BLOCK, as many as fill
+    # one |cos| tile, so that a tile holds whole blocks
+    block = _BLOCK
+    while 2 * block * shifts.size <= _TILE:
+        block *= 2
     buf = np.empty(_TILE)
-    reports = []
-    for band, half, lo, hi in half_bands(r):
-        width = hi - lo
-        xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
-        worst = 0.0
-        bad = 0
-        for c0 in range(0, points, cols):
-            x = xs[c0:c0 + cols]
-            top = np.zeros(x.size)
-            for s0 in range(0, ks.size, strip):
-                np.maximum(top, _abs_cos(shifts[s0:s0 + strip], x, buf).max(axis=0), out=top)
-            denom = 2.0 * np.abs(np.sin(0.5 * r * x))
-            bound = _jordan_bounds(x, r, band)
-            ratio = top / denom / bound
-            worst = max(worst, float(np.max(ratio)))
-            over = np.flatnonzero(ratio > 1.0 + 1e-12)
-            if over.size:  # count single entries; no column gets here in practice
-                step = _TILE // over.size
-                for s0 in range(0, ks.size, step):
-                    mag = _abs_cos(shifts[s0:s0 + step], x[over], buf) / denom[over]
-                    hits = np.count_nonzero(mag / bound[over] > 1.0 + 1e-12, axis=1)
-                    bad += int(reads[s0:s0 + step] @ hits)
-        reports.append(HalfBandSweep(band, half, points, k_max, worst, bad))
-    return reports
+    return [HalfBandSweep(band, half, points, k_max,
+                          *_sweep_half_band(r, band, lo, hi, points, shifts, reads, block, buf))
+            for band, half, lo, hi in half_bands(r)]
+
+
+def _sweep_half_band(r: int, band: int, lo: float, hi: float, points: int, shifts: np.ndarray,
+                     reads: np.ndarray, block: int, buf: np.ndarray) -> tuple[float, int]:
+    """The worst ratio and the violation count of one half-band.
+
+    The abscissas are taken one tile of at most ``_TILE`` columns at a time,
+    each cut into blocks of ``block`` columns.  A tile's blocks are visited
+    by descending largest ceiling, and the visit stops at the first block
+    that can change neither result; inside a visited block, only the columns
+    that can are computed.  Any order of the tiles is exact; they are taken
+    by descending ceiling at their end columns, which meets the worst ratio
+    first when the ceilings rise or fall across the half-band.
+    """
+    width = hi - lo
+    xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
+    if points <= block:  # one block, computed whole
+        return _sweep_columns(shifts, reads, xs, *_denominators_and_bounds(xs, r, band), buf)
+    starts = np.arange(0, points, _TILE)
+    if starts.size > 1:
+        ends = np.minimum(np.add.outer(starts, [0, _TILE - 1]), points - 1)
+        denom, bound = _denominators_and_bounds(xs[ends], r, band)
+        starts = starts[(1.0 / denom / bound).max(axis=1).argsort()[::-1]]
+    worst = 0.0
+    bad = 0
+    for t0 in starts:
+        x = xs[t0:t0 + _TILE]
+        denom, bound = _denominators_and_bounds(x, r, band)
+        ceiling = 1.0 / denom / bound
+        cuts = np.arange(0, x.size, block)
+        peaks = np.maximum.reduceat(ceiling, cuts)
+        for b in peaks.argsort()[::-1]:
+            if peaks[b] <= worst and peaks[b] <= _LIMIT:
+                break
+            c = ceiling[cuts[b]:cuts[b] + block]
+            live = cuts[b] + np.flatnonzero((c > worst) | (c > _LIMIT))
+            top, over = _sweep_columns(shifts, reads, x[live], denom[live], bound[live], buf)
+            worst = max(worst, top)
+            bad += over
+    return worst, bad
+
+
+def _sweep_columns(shifts: np.ndarray, reads: np.ndarray, x: np.ndarray, denom: np.ndarray,
+                   bound: np.ndarray, buf: np.ndarray) -> tuple[float, int]:
+    """The worst ratio and the violation count of the columns at ``x``."""
+    strip = _TILE // x.size
+    top = _abs_cos(shifts[:strip], x, buf).max(axis=0)
+    for s0 in range(strip, shifts.size, strip):
+        np.maximum(top, _abs_cos(shifts[s0:s0 + strip], x, buf).max(axis=0), out=top)
+    ratio = top / denom / bound
+    worst = float(ratio.max())
+    bad = 0
+    if worst > _LIMIT:  # count single entries; no column gets here in practice
+        over = np.flatnonzero(ratio > _LIMIT)
+        step = _TILE // over.size
+        for s0 in range(0, shifts.size, step):
+            mag = _abs_cos(shifts[s0:s0 + step], x[over], buf) / denom[over]
+            hits = np.count_nonzero(mag / bound[over] > _LIMIT, axis=1)
+            bad += int(reads[s0:s0 + step] @ hits)
+    return worst, bad

@@ -33,7 +33,15 @@ These must equal their replacements bit for bit (``==``):
   ``concatenated_sbp_decompose``, which built the three kernel ranges by
   concatenation and divided each by 2 sin(rx/2) on its own.
 
+* ``tile_kernel_bound_sweep``, which computed |cos| at every shift and
+  abscissa, where ``kernel_bound_sweep`` now skips the abscissas whose
+  ceiling can change neither result, and ``two_branch_jordan_bounds``,
+  which computed both branches of the half-band bound.
+
 ``assert_bits_equal`` is that ``==`` for arrays that may hold NaN.
+
+``dirichlet_cos`` and ``dirichlet_sin`` are the scalar kernels: the
+oracle that the kernel sweep and the half-band bound are checked against.
 
 These must agree with their replacements to a relative 1e-12:
 
@@ -47,6 +55,7 @@ import math
 
 import numpy as np
 
+from dgmlab import kernels
 from dgmlab.convergence import (
     CORNER_TABLE_CAP,
     _build_decay_report,
@@ -61,11 +70,14 @@ from dgmlab.convergence import (
 )
 from dgmlab.counterexample import double_rule
 from dgmlab.kernels import (
+    KERNEL_STEP_LIMIT,
+    HalfBandSweep,
     PartialSumBound,
     SbpDecomposition,
     _exact_sum,
     _half_denominator,
     band_index,
+    half_bands,
     kernel_band_bound,
 )
 from dgmlab.membership import (
@@ -566,3 +578,66 @@ def concatenated_sbp_decompose(seq, n, m, r, x):
     upper = _exact_sum(vals[length:] * (-cos[length:length + r] / (2.0 * s)))
     lower = -_exact_sum(vals[:r] * (-cos[length + r:] / (2.0 * s)))
     return SbpDecomposition(main, upper, lower)
+
+
+def dirichlet_cos(k, r, x):
+    """Cosine-numerator Dirichlet-type kernel; r may be negative."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return math.cos((k + 0.5 * r) * x) / (2.0 * _half_denominator(r, x))
+
+
+def dirichlet_sin(k, r, x):
+    """Sine-numerator Dirichlet-type kernel; r may be negative."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return math.sin((k + 0.5 * r) * x) / (2.0 * _half_denominator(r, x))
+
+
+def two_branch_jordan_bounds(xs, r, band):
+    """``kernels._jordan_bounds`` with both branches computed everywhere."""
+    u = r * xs / math.pi - 2 * band
+    return np.where(u < 1.0, 1.0 / (2.0 * u), 1.0 / (2.0 * (2.0 - u)))
+
+
+def tile_kernel_bound_sweep(r, points, k_max):
+    """``kernel_bound_sweep`` with the |cos| of every shift and abscissa.
+
+    The bound, the |cos| tiles and the tile size come from the library
+    module, so that a patched bound or tile size reaches both."""
+    if points < 2 or k_max < 0:
+        raise ValueError("need points >= 2 and k_max >= 0")
+    if not 1 <= r <= KERNEL_STEP_LIMIT:
+        raise ValueError(f"step r must be in [1, {KERNEL_STEP_LIMIT}]")
+    ks = np.union1d(np.arange(-r, k_max - r + 1), np.arange(0, k_max + 1))
+    shifts = ks + 0.5 * r
+    reads = (ks >= 0).astype(np.int64) + (ks <= k_max - r)
+    tile_size = kernels._TILE
+    cols = min(points, tile_size)
+    strip = max(1, tile_size // cols)
+    buf = np.empty(tile_size)
+    reports = []
+    for band, half, lo, hi in half_bands(r):
+        width = hi - lo
+        xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
+        worst = 0.0
+        bad = 0
+        for c0 in range(0, points, cols):
+            x = xs[c0:c0 + cols]
+            top = np.zeros(x.size)
+            for s0 in range(0, ks.size, strip):
+                np.maximum(top, kernels._abs_cos(shifts[s0:s0 + strip], x, buf).max(axis=0),
+                           out=top)
+            denom = 2.0 * np.abs(np.sin(0.5 * r * x))
+            bound = kernels._jordan_bounds(x, r, band)
+            ratio = top / denom / bound
+            worst = max(worst, float(np.max(ratio)))
+            over = np.flatnonzero(ratio > 1.0 + 1e-12)
+            if over.size:
+                step = tile_size // over.size
+                for s0 in range(0, ks.size, step):
+                    mag = kernels._abs_cos(shifts[s0:s0 + step], x[over], buf) / denom[over]
+                    hits = np.count_nonzero(mag / bound[over] > 1.0 + 1e-12, axis=1)
+                    bad += int(reads[s0:s0 + step] @ hits)
+        reports.append(HalfBandSweep(band, half, points, k_max, worst, bad))
+    return reports

@@ -27,7 +27,6 @@ from dgmlab.kernels import (
     direct_sine_sum,
     half_bands,
     kernel_bound_sweep,
-    dirichlet_cos,
     sbp_decompose,
 )
 from dgmlab.membership import (
@@ -39,6 +38,7 @@ from dgmlab.membership import (
     membership_scan,
 )
 from dgmlab.sequences import geometric_double_rule, rule_from_values, table_rule
+from references import dirichlet_cos
 
 
 def report(num, name, ok, detail, elapsed, limit):

@@ -230,6 +230,43 @@ class TestLogIntegralCommand:
         assert "Traceback" not in err and err.count("error:") == 2
 
 
+class TestFailureExitCodes:
+    def test_log_integral_violation_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "log_integral_bound", lambda n, N, p: (1.25, 0.5))
+        code = run(tmp_path, "log-integral", "--n", "3", "--N", "7", "--p", "2")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "log-integral: violated value=1.25 bound=0.5\n"
+        assert captured.err == ""
+        _, rows = read_csv(tmp_path / "log_integral.csv")
+        assert rows == [["3", "7", "2", "1.25", "0.5"]]
+
+    def test_log_integral_at_its_slack_is_ok(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "log_integral_bound", lambda n, N, p: (0.5 + 1e-12, 0.5))
+        assert run(tmp_path, "log-integral") == 0
+        assert capsys.readouterr().out.startswith("log-integral: ok ")
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(r, points, k_max):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "kernel_bound_sweep", exhausted)
+        code = run(tmp_path, "kernel-bound", "--r", "2", "--points", "10")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 1.00 TiB for an array\n"
+        assert not (tmp_path / "kernel_bound.csv").exists()
+
+    def test_bare_memory_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(r, points, k_max):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "kernel_bound_sweep", exhausted)
+        assert run(tmp_path, "kernel-bound") == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestCounterexampleCommand:
     def test_certify(self, tmp_path):
         code = run(tmp_path, "counterexample", "certify", "--p", "2",

@@ -13,8 +13,6 @@ from dgmlab.kernels import (
     HalfBandSweep,
     SingularAbscissa,
     band_index,
-    dirichlet_cos,
-    dirichlet_sin,
     direct_sine_sum,
     half_bands,
     kernel_band_bound,
@@ -37,8 +35,12 @@ from dgmlab.sequences import (
 from references import (
     assert_bits_equal,
     concatenated_sbp_decompose,
+    dirichlet_cos,
+    dirichlet_sin,
     four_call_partial_sum_bound,
     full_split_cos_exact,
+    tile_kernel_bound_sweep,
+    two_branch_jordan_bounds,
 )
 
 REL = 1e-12
@@ -224,6 +226,103 @@ class TestSweepAgainstLoop:
             got = kernel_bound_sweep(r, points, k_max)
             assert got == loop_kernel_bound_sweep(r, points, k_max)
             assert sum(s.violations for s in got) > 0
+
+
+class TestCeilingPrune:
+    """The sweep computes |cos| only for abscissas whose ceiling can still
+    change the worst ratio or the violation count; its reports must equal
+    those of the sweeps that compute every |cos|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 8), points=st.integers(2, 300), k_max=st.integers(0, 60),
+           halved=st.booleans(), small_tile=st.booleans())
+    def test_equals_full_sweeps(self, r, points, k_max, halved, small_tile):
+        # a 256-entry tile cuts these grids into several blocks and tiles;
+        # half the bound puts ratios over the threshold, so the recount runs
+        with pytest.MonkeyPatch.context() as mp:
+            if small_tile:
+                mp.setattr(kernels, "_TILE", 256)
+            if halved:
+                jordan = kernels._jordan_bounds
+                mp.setattr(kernels, "_jordan_bounds",
+                           lambda xs, r, band: 0.5 * jordan(xs, r, band))
+            got = kernel_bound_sweep(r, points, k_max)
+            assert got == loop_kernel_bound_sweep(r, points, k_max)
+            assert got == tile_kernel_bound_sweep(r, points, k_max)
+
+    @pytest.mark.parametrize("r, points, k_max", [(3, 70_000, 20), (1, 5000, 40), (6, 2000, 0)])
+    def test_equals_tile_sweep_on_wide_grids(self, r, points, k_max):
+        assert kernel_bound_sweep(r, points, k_max) == tile_kernel_bound_sweep(r, points, k_max)
+
+    @pytest.mark.parametrize("tile", [None, 4096])
+    @pytest.mark.parametrize("rank", [8, 64, 72, 300])
+    def test_worst_ratio_a_hair_above_the_rest(self, monkeypatch, tile, rank):
+        # |cos| is set to one value per abscissa: 1 at the abscissa of the
+        # given rank by ceiling, so that its ratio is its ceiling c, and
+        # elsewhere the value that holds the ratio at c (1 - 1e-9) or at the
+        # abscissa's own ceiling, whichever is lower.  The worst ratio is
+        # then c, a hair above the ratios of every abscissa of a larger
+        # ceiling: a skip loose by more than a hair misses it
+        r, points, k_max = 2, 5000, 600  # 603 shifts: blocks of 64 abscissas
+        if tile:
+            monkeypatch.setattr(kernels, "_TILE", tile)
+        grid, values, want = [], [], []
+        for band, half, lo, hi in half_bands(r):
+            width = hi - lo
+            xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
+            denom, bound = kernels._denominators_and_bounds(xs, r, band)
+            ceiling = 1.0 / denom / bound
+            star = np.argsort(ceiling)[::-1][rank]
+            value = np.minimum(1.0, ceiling[star] * (1 - 1e-9) / ceiling)
+            value[star] = 1.0
+            grid.append(xs)
+            values.append(value)
+            want.append(ceiling[star])
+        order = np.argsort(np.concatenate(grid))
+        known, value_of = np.concatenate(grid)[order], np.concatenate(values)[order]
+        abs_cos = kernels._abs_cos
+
+        def fixed(shifts, xs, buf):
+            tile = abs_cos(shifts, xs, buf)
+            at = np.searchsorted(known, xs)
+            assert np.array_equal(known[at], xs)
+            tile[:] = value_of[at]
+            return tile
+
+        monkeypatch.setattr(kernels, "_abs_cos", fixed)
+        got = kernel_bound_sweep(r, points, k_max)
+        assert [s.max_ratio for s in got] == want
+        assert got == tile_kernel_bound_sweep(r, points, k_max)
+
+    def test_jordan_bounds_equal_both_branches(self):
+        for r in (1, 2, 5, 8):
+            for band, half, lo, hi in half_bands(r):
+                xs = np.linspace(lo, hi, 1003)[1:-1]
+                assert_bits_equal(kernels._jordan_bounds(xs, r, band),
+                                  two_branch_jordan_bounds(xs, r, band))
+
+    @pytest.mark.parametrize("r, points, k_max, block", [
+        (5, 5000, 1000, 64),  # the benchmark's kernel-bound run
+        (3, 10_000, 100, 512),  # the README example
+    ])
+    def test_few_columns_reach_cos(self, monkeypatch, r, points, k_max, block):
+        # at most two blocks of abscissas per half-band get their |cos|
+        # computed, where the full sweeps compute all of them
+        seen = []
+        abs_cos = kernels._abs_cos
+
+        def recording(shifts, xs, buf):
+            seen.append(xs.copy())
+            return abs_cos(shifts, xs, buf)
+
+        monkeypatch.setattr(kernels, "_abs_cos", recording)
+        got = kernel_bound_sweep(r, points, k_max)
+        xs = np.concatenate(seen)
+        for _, _, lo, hi in half_bands(r):
+            computed = np.unique(xs[(xs > lo) & (xs < hi)]).size
+            assert 1 <= computed <= 2 * block, (lo, computed)
+        monkeypatch.setattr(kernels, "_abs_cos", abs_cos)
+        assert got == tile_kernel_bound_sweep(r, points, k_max)
 
 
 class TestPartialSumBound:
