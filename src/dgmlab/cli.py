@@ -24,18 +24,15 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import counterexample as cex
 from .convergence import (
     DECAY_CONDITIONS,
     GRID_ABSCISSA_LIMIT,
     TAIL_HORIZON_LIMIT,
-    ConvergenceVerdict,
     DecaySample,
-    DecayVerdict,
     GridSpec,
     ProfileEntry,
     classify_decay,
@@ -44,24 +41,6 @@ from .convergence import (
     log_integral_bound,
     rational_point_convergence,
     regular_remainder_sup,
-)
-from .kernels import (
-    KERNEL_STEP_LIMIT,
-    HalfBandSweep,
-    direct_sine_sum,
-    kernel_bound_sweep,
-    sbp_decompose,
-)
-from .membership import (
-    BlockEvidence,
-    BoundFamily,
-    BoundSpec,
-    EmbeddingViolation,
-    Verdict,
-    divisor_embedding_check,
-    embedding_check,
-    gm_membership_scan,
-    membership_scan,
 )
 from .output import write_csv, write_polyline_svg
 from .sequences import (
@@ -74,10 +53,17 @@ from .sequences import (
     table_rule,
 )
 
+# membership, kernels and counterexample are imported by the handlers that run
+# them, so each subcommand loads only the modules it uses.
+if TYPE_CHECKING:
+    from .membership import BoundSpec
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+_FAMILIES = ("mean-value", "max-window", "sup-window")  # membership.BoundFamily's values
 
 
 class UsageError(Exception):
@@ -207,7 +193,8 @@ def _double_rule(args: argparse.Namespace):
         q = _positive("ratio", args.ratio)
         return additive_rule(geometric_rule(q), geometric_rule(q))
     if kind == "proposition":
-        return cex.double_rule(_seq_p(args))
+        from .counterexample import double_rule
+        return double_rule(_seq_p(args))
     # table: the parser's choices admit no other kind
     if not args.table_file:
         raise UsageError("table-file", "required when seq=table")
@@ -221,7 +208,8 @@ def _single_rule(args: argparse.Namespace):
     if kind == "power":
         return power_rule(_positive("exponent", args.exponent))
     if kind == "proposition":
-        return cex.single_rule(_seq_p(args))
+        from .counterexample import single_rule
+        return single_rule(_seq_p(args))
     raise UsageError("seq", f"no single-sequence form for {kind!r}")
 
 
@@ -238,6 +226,7 @@ def _seq_p(args: argparse.Namespace) -> float:
 
 
 def _bound_spec(args: argparse.Namespace) -> BoundSpec:
+    from .membership import BoundFamily, BoundSpec
     lam = _step("lambda", args.lam)
     cap = _cap("cap", args.cap)
     try:
@@ -282,10 +271,10 @@ def _records(cls, items) -> tuple[list[str], list[list]]:
 
 
 def _verdict_exit(verdict) -> int:
-    if verdict in (Verdict.CONSISTENT, ConvergenceVerdict.CONVERGING, DecayVerdict.DECAYING):
+    """Exit code of a membership, convergence or decay verdict, read from its value."""
+    if verdict.value in ("consistent", "converging", "decaying"):
         return EXIT_PASS
-    if verdict in (Verdict.VIOLATED, ConvergenceVerdict.NOT_CONVERGING,
-                   DecayVerdict.NOT_DECAYING):
+    if verdict.value in ("violated", "not-converging", "not-decaying"):
         return EXIT_FAIL
     return EXIT_INCONCLUSIVE
 
@@ -295,6 +284,7 @@ def _verdict_exit(verdict) -> int:
 
 
 def _run_membership(args: argparse.Namespace) -> _Run:
+    from .membership import BlockEvidence, gm_membership_scan, membership_scan
     p = _positive("p", args.p)
     r = _step("r", args.r)
     spec = _bound_spec(args)
@@ -311,6 +301,7 @@ def _run_membership(args: argparse.Namespace) -> _Run:
 
 
 def _run_embedding(args: argparse.Namespace) -> _Run:
+    from .membership import EmbeddingViolation, divisor_embedding_check, embedding_check
     c = _double_rule(args)
     blocks = _blocks(args)
     p1, p2, r1, r2 = args.p1, args.p2, args.r1, args.r2
@@ -337,6 +328,7 @@ def _run_embedding(args: argparse.Namespace) -> _Run:
 
 
 def _run_sbp(args: argparse.Namespace) -> _Run:
+    from .kernels import direct_sine_sum, sbp_decompose
     seq = _single_rule(args)
     n = _step("start", args.start)
     # the decomposition reads a_n .. a_{end + r}: end + r <= HORIZON_LIMIT
@@ -361,6 +353,7 @@ def _run_sbp(args: argparse.Namespace) -> _Run:
 
 
 def _run_kernel_bound(args: argparse.Namespace) -> _Run:
+    from .kernels import KERNEL_STEP_LIMIT, HalfBandSweep, kernel_bound_sweep
     r = _step("r", args.r, high=KERNEL_STEP_LIMIT)
     points = _cap("points", args.points, low=2)
     k_max = _cap("k-max", args.k_max, low=0)
@@ -446,6 +439,7 @@ def _run_log_integral(args: argparse.Namespace) -> _Run:
 
 
 def _run_counterexample(args: argparse.Namespace) -> _Run:
+    from . import counterexample as cex
     p = _seq_p(args)
     if args.action == "certify":
         n_max = args.n_max
@@ -525,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seq_flags(sp)
     sp.add_argument("--p", type=float, default=1.0, help="norm exponent")
     sp.add_argument("--r", type=int, default=1, help="difference step")
-    sp.add_argument("--family", choices=[f.value for f in BoundFamily], default="max-window",
+    sp.add_argument("--family", choices=_FAMILIES, default="max-window",
                     help="right-hand-side bound family")
     sp.add_argument("--lambda", dest="lam", type=int, default=2, help="window factor")
     sp.add_argument("--cap", type=int, default=1 << 15, help="horizon cap of sup searches")

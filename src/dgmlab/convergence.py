@@ -1,4 +1,4 @@
-"""Rectangle partial sums, regular-convergence profiling, decay and tail checks.
+"""Regular-convergence profiling of rectangle partial sums, decay and tail checks.
 
 Regular convergence of a double sine series asks every rectangle sum
 ``sum_{j=m}^{M} sum_{k=n}^{N} c_jk sin(jx) sin(ky)`` with ``m + n`` large
@@ -117,26 +117,6 @@ def grid_points(spec: GridSpec) -> np.ndarray:
         and all(abs(x - s) >= spec.exclusion_radius * (1 - 1e-12) for s in singular)
     ]
     return np.unique(np.asarray(ok, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# rectangle sums
-
-
-def double_partial_sum(c: DoubleSequenceRule, m: int, M: int, n: int, N: int,
-                       x: float, y: float) -> complex:
-    """``sum_{j=m}^{M} sum_{k=n}^{N} c_jk sin(jx) sin(ky)``, exactly rounded.
-
-    Accumulation uses ``math.fsum`` on the real and imaginary parts, which
-    is at least as accurate as compensated summation.
-    """
-    if not (1 <= m <= M and 1 <= n <= N):
-        raise ValueError("need 1 <= m <= M and 1 <= n <= N")
-    js = np.arange(m, M + 1)
-    ks = np.arange(n, N + 1)
-    terms = c.values(js[:, None], ks[None, :]) * np.outer(np.sin(js * x), np.sin(ks * y))
-    return complex(math.fsum(terms.real.ravel().tolist()),
-                   math.fsum(terms.imag.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .membership import BoundFamily, BoundSpec, rhs_row_bound
 from .sequences import (
     DoubleSequenceRule,
     SequenceRule,
@@ -30,6 +30,9 @@ from .sequences import (
     product_rule,
     transpose_rule,
 )
+
+if TYPE_CHECKING:
+    from .membership import BoundSpec
 
 SIN_2PI3 = math.sin(2.0 * math.pi / 3.0)  # = sqrt(3)/2
 
@@ -144,6 +147,9 @@ def violation_ratio(m: int, n: int, p: float, spec: BoundSpec | None = None,
     slope reaches the asymptotic exponent ``1 - 1/p`` already at desk
     horizons, whereas the full sum approaches it only slowly from below.
     """
+    # imported here, so that the rules of the example load without membership
+    from .membership import BoundFamily, BoundSpec, rhs_row_bound
+
     if m < 1 or n < 1:
         raise ValueError("block indices must be >= 1")
     _validate_p(p)

@@ -42,6 +42,8 @@ These must equal their replacements bit for bit (``==``):
 
 ``dirichlet_cos`` and ``dirichlet_sin`` are the scalar kernels: the
 oracle that the kernel sweep and the half-band bound are checked against.
+``double_partial_sum`` is one rectangle sum from the full table of terms,
+exactly rounded: the oracle of the rectangle sums.
 
 These must agree with their replacements to a relative 1e-12:
 
@@ -592,6 +594,21 @@ def dirichlet_sin(k, r, x):
     if k < 0:
         raise ValueError("k must be >= 0")
     return math.sin((k + 0.5 * r) * x) / (2.0 * _half_denominator(r, x))
+
+
+def double_partial_sum(c, m, M, n, N, x, y):
+    """``sum_{j=m}^{M} sum_{k=n}^{N} c_jk sin(jx) sin(ky)``, exactly rounded.
+
+    Accumulation uses ``math.fsum`` on the real and imaginary parts, which
+    is at least as accurate as compensated summation.
+    """
+    if not (1 <= m <= M and 1 <= n <= N):
+        raise ValueError("need 1 <= m <= M and 1 <= n <= N")
+    js = np.arange(m, M + 1)
+    ks = np.arange(n, N + 1)
+    terms = c.values(js[:, None], ks[None, :]) * np.outer(np.sin(js * x), np.sin(ks * y))
+    return complex(math.fsum(terms.real.ravel().tolist()),
+                   math.fsum(terms.imag.ravel().tolist()))
 
 
 def two_branch_jordan_bounds(xs, r, band):

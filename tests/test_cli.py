@@ -250,7 +250,7 @@ class TestFailureExitCodes:
         def exhausted(r, points, k_max):
             raise MemoryError("Unable to allocate 1.00 TiB for an array")
 
-        monkeypatch.setattr(cli, "kernel_bound_sweep", exhausted)
+        monkeypatch.setattr("dgmlab.kernels.kernel_bound_sweep", exhausted)
         code = run(tmp_path, "kernel-bound", "--r", "2", "--points", "10")
         captured = capsys.readouterr()
         assert code == 3
@@ -262,7 +262,7 @@ class TestFailureExitCodes:
         def exhausted(r, points, k_max):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "kernel_bound_sweep", exhausted)
+        monkeypatch.setattr("dgmlab.kernels.kernel_bound_sweep", exhausted)
         assert run(tmp_path, "kernel-bound") == 3
         assert capsys.readouterr().err == "error: out of memory\n"
 

@@ -24,7 +24,6 @@ from dgmlab.convergence import (
     _start_maxima,
     classify_decay,
     decay_report,
-    double_partial_sum,
     frontier_product_max,
     frontier_samples,
     grid_points,
@@ -54,6 +53,7 @@ from dgmlab.sequences import (
 )
 from references import (
     decay_dispatch,
+    double_partial_sum,
     loop_mixed_diff_tail,
     loop_row_diff_tail,
     loop_row_tail,
