@@ -39,9 +39,7 @@ _EXPORTS = {
         "DivergenceCertificate",
         "divergence_certificate",
         "double_rule",
-        "double_term",
         "single_rule",
-        "single_term",
         "violation_ratio",
     ),
     "kernels": (
@@ -76,7 +74,6 @@ _EXPORTS = {
         "TailEnvelope",
         "additive_rule",
         "block_p_norm",
-        "constant_rule",
         "double_block_p_norm",
         "geometric_double_rule",
         "geometric_rule",
@@ -87,7 +84,6 @@ _EXPORTS = {
         "rule_from_values",
         "table_rule",
         "transpose_rule",
-        "zero_double_rule",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

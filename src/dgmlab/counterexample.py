@@ -76,7 +76,7 @@ def single_values(ns, p: float) -> np.ndarray:
 def single_rule(p: float) -> SequenceRule:
     _validate_p(p)
     return SequenceRule(
-        lambda ns: single_values(ns, p).astype(complex),
+        lambda ns: single_values(ns, p),
         label=f"proposition(p={p})",
         real=True,
     )
@@ -95,10 +95,6 @@ def double_rule(p: float) -> DoubleSequenceRule:
         s, s, label=f"proposition2(p={p})",
         tail=TailEnvelope(amp=amp, kind="polynomial", a_j=1.0, a_k=1.0),
     )
-
-
-def double_term(m: int, n: int, p: float) -> float:
-    return single_term(m, p) * single_term(n, p)
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,8 @@ def direct_sine_sum(seq: SequenceRule, n: int, m: int, x: float) -> complex:
     """
     _check_range(m)
     ks = np.arange(n, m + 1)
-    terms = seq.values(ks) * np.sin(ks * x)
+    # complex sines: numpy pairs a float sum's terms differently from a complex sum's
+    terms = seq.values(ks) * np.sin(ks * x).astype(complex)
     if terms.size <= 100_000:
         return complex(terms.sum())
     re = math.fsum(terms.real.tolist())

@@ -205,28 +205,21 @@ def _frontier_sup(c: DoubleSequenceRule, lo_sum: int, cap: int) -> BoundValue:
         truncated = best_m == cap or best_n == cap
         return BoundValue(value, maximizer=(best_m, best_n), truncated=truncated)
 
-    if c.support is not None:
-        jmax, kmax = c.support
-        m_hi, n_hi = min(cap, jmax), min(cap, kmax)
-        if lo_sum > jmax + kmax:
-            # every frontier window starts beyond the support and is zero
-            return BoundValue(0.0, maximizer=None)
-        if lo_sum > m_hi + n_hi:
-            return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
-        # a maximizer pinned at the cap (not the support edge) means the
-        # scan may have stopped short
-        m_capped, n_capped = cap < jmax, cap < kmax
-        exact = True
-        # rows and columns past the support are zero: their prefix sums
-        # repeat the box edge's, so the window ends are clamped to it
-        rows, cols = min(2 * m_hi, jmax), min(2 * n_hi, kmax)
-    else:
-        m_hi = n_hi = min(cap, GENERAL_MIXED_CAP)
-        exact = cap <= GENERAL_MIXED_CAP
-        m_capped = n_capped = True
-        if lo_sum > m_hi + n_hi:
-            return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
-        rows = cols = 2 * m_hi
+    jmax, kmax = c.support or (math.inf, math.inf)
+    edge = cap if c.support is not None else min(cap, GENERAL_MIXED_CAP)
+    exact = c.support is not None or cap <= GENERAL_MIXED_CAP
+    m_hi, n_hi = min(edge, jmax), min(edge, kmax)
+    if lo_sum > jmax + kmax:
+        # every frontier window starts beyond the support and is zero
+        return BoundValue(0.0, maximizer=None)
+    if lo_sum > m_hi + n_hi:
+        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+    # a maximizer pinned at the scan's edge (not the support's) means the
+    # scan may have stopped short
+    m_capped, n_capped = edge < jmax, edge < kmax
+    # rows and columns past the support are zero: their prefix sums
+    # repeat the box edge's, so the window ends are clamped to it
+    rows, cols = min(2 * m_hi, jmax), min(2 * n_hi, kmax)
 
     grid = np.abs(c.values(np.arange(1, rows + 1)[:, None], np.arange(1, cols + 1)[None, :]))
     pref = np.zeros((rows + 1, cols + 1))

@@ -1,13 +1,15 @@
-"""Single and double complex sequences as evaluation rules.
+"""Single and double sequences as evaluation rules.
 
 A rule is one pure, vectorised function of its index array (a pair of
-broadcastable index arrays for double sequences); ``values`` calls it,
-and the scalar ``eval`` is derived from ``values``.  ``rule_from_function``
-wraps a scalar function of one index.  Double rules may carry structure
-hints -- a multiplicative factorization ``c[j,k] = u[j] * v[k]``, a
-bounded support box, a tail envelope -- that let the heavier scans pick
-fast exact paths.  The hints never change semantics: every consumer falls
-back to the generic array path when a hint is absent.
+broadcastable index arrays for double sequences); ``values`` calls it and
+is the one evaluator.  It returns float64 for a rule that declares
+``real`` and complex128 otherwise, so real computations stay real from the
+rule to the result.  ``rule_from_function`` wraps a scalar function of one
+index.  Double rules may carry structure hints -- a multiplicative
+factorization ``c[j,k] = u[j] * v[k]``, a bounded support box, a tail
+envelope -- that let the heavier scans pick fast exact paths.  The hints
+never change semantics: every consumer falls back to the generic array
+path when a hint is absent.
 
 This module also provides the array step differences and the block
 p-norms that the class scanners and convergence checks are built from.
@@ -73,10 +75,10 @@ def _factor_tail(kind: str, a: float, start: int) -> float:
 
 @dataclass(frozen=True)
 class SequenceRule:
-    """Complex sequence ``{a_k}`` defined for ``k >= 1``.
+    """Sequence ``{a_k}`` defined for ``k >= 1``.
 
     ``fn`` maps an integer index array to the values at those indices, in
-    the same shape; it must be pure.
+    the same shape; it must be pure.  ``real`` declares every value real.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -85,15 +87,12 @@ class SequenceRule:
 
     def values(self, ks) -> np.ndarray:
         """Evaluate at every index of ``ks`` (any integer array shape)."""
-        return np.asarray(self.fn(np.asarray(ks, dtype=np.int64)), dtype=complex)
-
-    def eval(self, k: int) -> complex:
-        return complex(self.values([k])[0])
+        return _typed(self.fn(np.asarray(ks, dtype=np.int64)), self.real)
 
 
 @dataclass(frozen=True)
 class DoubleSequenceRule:
-    """Complex double sequence ``{c_jk}``, total on ``j, k >= 1``.
+    """Double sequence ``{c_jk}``, total on ``j, k >= 1``.
 
     ``fn`` maps two broadcastable integer index arrays to the values at
     those index pairs.  ``factors = (u, v)`` declares
@@ -112,14 +111,17 @@ class DoubleSequenceRule:
         """Elementwise evaluation on broadcastable integer index arrays."""
         js = np.asarray(js, dtype=np.int64)
         ks = np.asarray(ks, dtype=np.int64)
-        out = np.asarray(self.fn(js, ks), dtype=complex)
+        out = _typed(self.fn(js, ks), self.real)
         shape = np.broadcast(js, ks).shape
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out
 
-    def eval(self, j: int, k: int) -> complex:
-        return complex(self.values([j], [k])[0])
+
+def _typed(out, real: bool) -> np.ndarray:
+    """float64 values, the real part of ``out``, for a ``real`` rule (no
+    ComplexWarning), and complex128 otherwise."""
+    return np.asarray(np.real(out), dtype=float) if real else np.asarray(out, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +277,17 @@ def rule_from_function(fn: Callable[[int], complex], label: str = "") -> Sequenc
 
 def rule_from_values(values, label: str = "") -> SequenceRule:
     """Array-backed sequence ``a_k = values[k - 1]``; indices beyond the array
-    evaluate to 0."""
-    arr = np.asarray(values, dtype=complex)
+    evaluate to 0.  Real input is held as float64, any other as complex128."""
+    real = bool(np.isrealobj(values))
+    arr = np.asarray(values, dtype=float if real else complex)
     # a_k at padded[k]; clipping sends every index outside 1..n to a zero end
-    padded = np.zeros(arr.size + 2, dtype=complex)
+    padded = np.zeros(arr.size + 2, dtype=arr.dtype)
     padded[1:-1] = arr
 
     def fn(ks: np.ndarray) -> np.ndarray:
         return padded.take(ks, mode="clip")
 
-    return SequenceRule(fn, label=label, real=bool(np.isrealobj(values)))
+    return SequenceRule(fn, label=label, real=real)
 
 
 def product_rule(u: SequenceRule, v: SequenceRule, label: str = "",
@@ -309,15 +312,17 @@ def additive_rule(u: SequenceRule, v: SequenceRule, label: str = "") -> DoubleSe
 
 
 def table_rule(table, label: str = "") -> DoubleSequenceRule:
-    """Double rule ``c[j,k] = table[j - 1, k - 1]``; zero outside the support box."""
-    arr = np.asarray(table, dtype=complex)
+    """Double rule ``c[j,k] = table[j - 1, k - 1]``; zero outside the support
+    box.  Real input is held as float64, any other as complex128."""
+    real = bool(np.isrealobj(table))
+    arr = np.asarray(table, dtype=float if real else complex)
     if arr.ndim != 2:
         raise ValueError("table must be two-dimensional")
     rows, cols = arr.shape
     # c[j,k] at padded[j, k] inside a zero border; clamping sends every index
     # pair outside the box to the border (np.minimum/np.maximum: np.clip adds
     # Python-level overhead per call)
-    padded = np.zeros((rows + 2, cols + 2), dtype=complex)
+    padded = np.zeros((rows + 2, cols + 2), dtype=arr.dtype)
     padded[1:-1, 1:-1] = arr
 
     def fn(js: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -327,7 +332,7 @@ def table_rule(table, label: str = "") -> DoubleSequenceRule:
     return DoubleSequenceRule(
         fn, label=label,
         support=(rows, cols),
-        real=bool(np.isrealobj(table)),
+        real=real,
     )
 
 
@@ -336,7 +341,7 @@ def geometric_rule(ratio: float = 0.5) -> SequenceRule:
     if not 0 < ratio < 1:
         raise ValueError("ratio must be in (0, 1)")
     return SequenceRule(
-        lambda ks: (float(ratio) ** ks).astype(complex),
+        lambda ks: float(ratio) ** ks,
         label=f"geometric({ratio})",
         real=True,
     )
@@ -347,17 +352,9 @@ def power_rule(exponent: float = 2.0) -> SequenceRule:
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     return SequenceRule(
-        lambda ks: (ks.astype(float) ** -exponent).astype(complex),
+        lambda ks: ks.astype(float) ** -exponent,
         label=f"power({exponent})",
         real=True,
-    )
-
-
-def constant_rule(value: complex = 0j) -> SequenceRule:
-    return SequenceRule(
-        lambda ks: np.full(ks.shape, complex(value)),
-        label=f"const({value})",
-        real=(complex(value).imag == 0.0),
     )
 
 
@@ -377,11 +374,6 @@ def power_double_rule(exponent: float = 2.0) -> DoubleSequenceRule:
         g, g, label=f"power2({exponent})",
         tail=TailEnvelope(amp=1.0, kind="polynomial", a_j=exponent, a_k=exponent),
     )
-
-
-def zero_double_rule() -> DoubleSequenceRule:
-    z = constant_rule(0j)
-    return product_rule(z, z, label="zero")
 
 
 def transpose_rule(c: DoubleSequenceRule) -> DoubleSequenceRule:

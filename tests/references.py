@@ -40,6 +40,11 @@ These must equal their replacements bit for bit (``==``):
 
 ``assert_bits_equal`` is that ``==`` for arrays that may hold NaN.
 
+``scalar_eval`` is the scalar evaluator that the rules had, one value as
+a Python complex; ``constant_rule``, ``zero_double_rule`` and
+``double_term`` are the constant rules and the scalar term of the
+sharpness example that only the tests used.
+
 ``dirichlet_cos`` and ``dirichlet_sin`` are the scalar kernels: the
 oracle that the kernel sweep and the half-band bound are checked against.
 ``double_partial_sum`` is one rectangle sum from the full table of terms,
@@ -70,7 +75,7 @@ from dgmlab.convergence import (
     row_diff_tail_sups,
     row_tail_sups,
 )
-from dgmlab.counterexample import double_rule
+from dgmlab.counterexample import double_rule, single_term
 from dgmlab.kernels import (
     KERNEL_STEP_LIMIT,
     HalfBandSweep,
@@ -100,6 +105,7 @@ from dgmlab.sequences import (
     mixed_diff_values,
     p_norm,
     power_double_rule,
+    product_rule,
     row_diff_values,
     step_diff_values,
     table_rule,
@@ -117,6 +123,30 @@ def assert_bits_equal(got, want):
         assert np.array_equal(np.isnan(g), nan)
         assert np.all(g[~nan] == w[~nan])
         assert np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan]))
+
+
+def scalar_eval(rule, *idx):
+    """The rule's value at one index (single rule) or index pair (double
+    rule), as a Python complex."""
+    return complex(rule.values(*([i] for i in idx))[0])
+
+
+def constant_rule(value=0j):
+    return SequenceRule(
+        lambda ks: np.full(ks.shape, complex(value)),
+        label=f"const({value})",
+        real=(complex(value).imag == 0.0),
+    )
+
+
+def zero_double_rule():
+    z = constant_rule(0j)
+    return product_rule(z, z, label="zero")
+
+
+def double_term(m, n, p):
+    """c_mn = a_m * a_n of the sharpness example, from the scalar terms."""
+    return single_term(m, p) * single_term(n, p)
 
 
 def symmetry_rules():
@@ -329,13 +359,14 @@ def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
 
 
 def masked_values_fn(values):
-    """``rule_from_values``'s lookup: mask the indices inside ``1..n``."""
-    arr = np.asarray(values, dtype=complex)
+    """``rule_from_values``'s lookup: mask the indices inside ``1..n``, in
+    the dtype of the input (float64 for real input, complex128 otherwise)."""
+    arr = np.asarray(values, dtype=float if np.isrealobj(values) else complex)
 
     def fn(ks):
         idx = ks - 1
         ok = (idx >= 0) & (idx < arr.size)
-        out = np.zeros(ks.shape, dtype=complex)
+        out = np.zeros(ks.shape, dtype=arr.dtype)
         out[ok] = arr[idx[ok]]
         return out
 
@@ -343,14 +374,15 @@ def masked_values_fn(values):
 
 
 def masked_table_fn(table):
-    """``table_rule``'s lookup: mask the index pairs inside the support box."""
-    arr = np.asarray(table, dtype=complex)
+    """``table_rule``'s lookup: mask the index pairs inside the support box,
+    in the dtype of the input (float64 for real input, complex128 otherwise)."""
+    arr = np.asarray(table, dtype=float if np.isrealobj(table) else complex)
     rows, cols = arr.shape
 
     def fn(js, ks):
         jb, kb = np.broadcast_arrays(js - 1, ks - 1)
         ok = (jb >= 0) & (jb < rows) & (kb >= 0) & (kb < cols)
-        out = np.zeros(jb.shape, dtype=complex)
+        out = np.zeros(jb.shape, dtype=arr.dtype)
         out[ok] = arr[jb[ok], kb[ok]]
         return out
 

@@ -49,7 +49,6 @@ from dgmlab.sequences import (
     rule_from_values,
     table_rule,
     transpose_rule,
-    zero_double_rule,
 )
 from references import (
     decay_dispatch,
@@ -61,7 +60,9 @@ from references import (
     per_point_general_sups,
     per_point_sampled_sups,
     profile_product_max,
+    scalar_eval,
     window_product_max,
+    zero_double_rule,
 )
 
 REL = 1e-12
@@ -353,6 +354,20 @@ class TestPointSups:
             assert not exact
             assert got == _point_sups(as_complex, points, ts, caps)[0]
             assert got == [full_prefix_sampled_sups(real, x, y, ts, caps) for x, y in points]
+
+    def test_product_path_needs_real_factors(self):
+        """A real rule whose factors do not declare real takes the paths of
+        the same rule without its product hint."""
+        rng = np.random.default_rng(19)
+        u = rule_from_values(rng.normal(size=40) + 0j)
+        v = rule_from_values(rng.normal(size=30) + 0j)
+        hinted = DoubleSequenceRule(lambda js, ks: u.values(js) * v.values(ks),
+                                    factors=(u, v), real=True)
+        plain = dataclasses.replace(hinted, factors=None)
+        points = [(0.5, 2.0), (2.2, 0.4)]
+        for caps in ((30, 20), (EXACT_GENERAL_CAP + 10, 40)):
+            assert (_point_sups(hinted, points, [4, 20], caps)
+                    == _point_sups(plain, points, [4, 20], caps))
 
     def test_sampled_complex_matches_full_prefix(self):
         rng = np.random.default_rng(5)
@@ -881,7 +896,7 @@ class TestDiffTails:
     def test_mixed_matches_loop_oracle(self):
         c = geometric_double_rule(0.5)
         got = mixed_diff_tail(c, 2.0, 1, 8, 8, 300)
-        ev = functools.cache(c.eval)
+        ev = functools.cache(functools.partial(scalar_eval, c))
         want = (8 * 8) ** 0.5 * sum(abs(mixed_diff(ev, j, k, 1))
                                     for j in range(8, 301) for k in range(8, 301))
         assert rel_close(got, want)
@@ -889,7 +904,7 @@ class TestDiffTails:
     def test_row_diff_matches_loop_oracle(self):
         c = geometric_double_rule(0.5)
         got = row_diff_tail(c, 2.0, 1, 4, 4, 200)
-        ev = functools.cache(c.eval)
+        ev = functools.cache(functools.partial(scalar_eval, c))
         want = 4 ** 0.5 * max(
             k * sum(abs(row_diff(ev, j, k, 1)) for j in range(4, 201))
             for k in range(4, 201))

@@ -14,13 +14,12 @@ from dgmlab.counterexample import (
     SIN_2PI3,
     divergence_certificate,
     double_rule,
-    double_term,
     single_term,
     single_values,
     violation_ratio,
 )
 from dgmlab.membership import BoundFamily, BoundSpec, Verdict, membership_scan
-from references import direct_col_bound
+from references import direct_col_bound, double_term, scalar_eval
 
 REL = 1e-12
 
@@ -79,7 +78,7 @@ class TestDoubleTerm:
     def test_rule_factorization(self):
         c = double_rule(2.0)
         assert c.factors is not None
-        assert rel_close(c.eval(7, 13).real, double_term(7, 13, 2.0))
+        assert rel_close(scalar_eval(c, 7, 13).real, double_term(7, 13, 2.0))
 
 
 class TestCertificate:

@@ -34,8 +34,8 @@ EXPORTS = {
         "row_tail_sups",
     ],
     "counterexample": [
-        "DivergenceCertificate", "divergence_certificate", "double_rule", "double_term",
-        "single_rule", "single_term", "violation_ratio",
+        "DivergenceCertificate", "divergence_certificate", "double_rule", "single_rule",
+        "violation_ratio",
     ],
     "kernels": [
         "PartialSumBound", "SbpDecomposition", "SingularAbscissa", "band_index",
@@ -49,10 +49,10 @@ EXPORTS = {
     ],
     "sequences": [
         "HORIZON_LIMIT", "DoubleSequenceRule", "SequenceRule", "TailEnvelope",
-        "additive_rule", "block_p_norm", "constant_rule", "double_block_p_norm",
+        "additive_rule", "block_p_norm", "double_block_p_norm",
         "geometric_double_rule", "geometric_rule", "power_double_rule", "power_rule",
         "product_rule", "rule_from_function", "rule_from_values", "table_rule",
-        "transpose_rule", "zero_double_rule",
+        "transpose_rule",
     ],
 }
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)

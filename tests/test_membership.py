@@ -23,7 +23,6 @@ from dgmlab.membership import (
 )
 from dgmlab.sequences import (
     SequenceRule,
-    constant_rule,
     geometric_double_rule,
     geometric_rule,
     power_rule,
@@ -32,15 +31,16 @@ from dgmlab.sequences import (
     table_rule,
     transpose_rule,
     window_diff_p_norm,
-    zero_double_rule,
 )
 import references
 from references import (
+    constant_rule,
     direct_col_bound,
     direct_col_lhs,
     per_window_divisor_embedding_check,
     symmetry_rules,
     window_product_max,
+    zero_double_rule,
 )
 
 REL = 1e-12

@@ -11,7 +11,6 @@ from dgmlab.sequences import (
     SequenceRule,
     additive_rule,
     block_p_norm,
-    constant_rule,
     double_block_p_norm,
     geometric_double_rule,
     geometric_rule,
@@ -26,13 +25,16 @@ from dgmlab.sequences import (
     transpose_rule,
     window_diff_p_norm,
 )
-from dgmlab.counterexample import double_rule
+from dgmlab.counterexample import double_rule, single_rule
+from dgmlab.kernels import direct_sine_sum, partial_sum_bound, sbp_decompose
 from references import (
     assert_bits_equal,
+    constant_rule,
     direct_col_diff_values,
     four_call_mixed_diff_values,
     masked_table_fn,
     masked_values_fn,
+    scalar_eval,
     symmetry_rules,
     two_call_row_diff_values,
     two_call_step_diff_values,
@@ -50,19 +52,20 @@ def close(a, b):
 
 
 def step_diff(seq, k, r):
-    return seq.eval(k) - seq.eval(k + r)
+    return scalar_eval(seq, k) - scalar_eval(seq, k + r)
 
 
 def row_diff(c, j, k, r):
-    return c.eval(j, k) - c.eval(j + r, k)
+    return scalar_eval(c, j, k) - scalar_eval(c, j + r, k)
 
 
 def col_diff(c, j, k, r):
-    return c.eval(j, k) - c.eval(j, k + r)
+    return scalar_eval(c, j, k) - scalar_eval(c, j, k + r)
 
 
 def mixed_diff(c, j, k, r):
-    return c.eval(j, k) - c.eval(j + r, k) - c.eval(j, k + r) + c.eval(j + r, k + r)
+    return (scalar_eval(c, j, k) - scalar_eval(c, j + r, k)
+            - scalar_eval(c, j, k + r) + scalar_eval(c, j + r, k + r))
 
 
 def col_diff_values(c, js, ks, r):
@@ -166,7 +169,7 @@ def test_block_p_norm_constant_zero():
 def test_block_p_norm_single_term_block():
     rng = np.random.default_rng(1)
     seq = rule_from_values(rng.normal(size=8))
-    assert close(block_p_norm(seq, 1, 3.0, 1), abs(seq.eval(1) - seq.eval(2)))
+    assert close(block_p_norm(seq, 1, 3.0, 1), abs(scalar_eval(seq, 1) - scalar_eval(seq, 2)))
 
 
 def test_block_p_norm_harmonic_loop_oracle():
@@ -212,7 +215,7 @@ def test_double_block_p_norm_product_path_matches_generic():
     u = rule_from_values(np.random.default_rng(3).normal(size=24))
     v = rule_from_values(np.random.default_rng(4).normal(size=24))
     fast = product_rule(u, v)
-    slow = DoubleSequenceRule(np.vectorize(lambda j, k: u.eval(j) * v.eval(k),
+    slow = DoubleSequenceRule(np.vectorize(lambda j, k: scalar_eval(u, j) * scalar_eval(v, k),
                                            otypes=[complex]))
     for m, n, p, r in [(2, 3, 1.0, 1), (4, 4, 2.0, 3), (1, 5, 0.7, 2)]:
         assert close(double_block_p_norm(fast, m, n, p, r),
@@ -254,8 +257,8 @@ def test_window_diff_p_norm_matches_block_on_dyadic_window():
 
 def test_rule_from_values_zero_outside_support():
     seq = rule_from_values([1.0, 2.0, 3.0])
-    assert seq.eval(3) == 3.0
-    assert seq.eval(4) == 0.0
+    assert scalar_eval(seq, 3) == 3.0
+    assert scalar_eval(seq, 4) == 0.0
     assert np.all(seq.values(np.array([4, 100])) == 0)
 
 
@@ -303,7 +306,7 @@ class TestPaddedLookups:
             assert_same_lookup(seq.fn(np.array(k)), ref(np.array(k)))
         for idx in (ks, ks.reshape(2, 3), ks[:, None], ks[:0]):
             assert_same_lookup(seq.fn(idx), ref(idx))
-            assert_same_lookup(seq.values(idx), SequenceRule(ref).values(idx))
+            assert_same_lookup(seq.values(idx), SequenceRule(ref, real=seq.real).values(idx))
 
     @pytest.mark.parametrize("name", list(lookup_arrays()))
     def test_table_rule_equals_masked_lookup(self, name):
@@ -322,21 +325,21 @@ class TestPaddedLookups:
         ]
         for j, k in pairs:
             assert_same_lookup(c.fn(j, k), ref(j, k))
-            assert_same_lookup(c.values(j, k), DoubleSequenceRule(ref).values(j, k))
+            assert_same_lookup(c.values(j, k), DoubleSequenceRule(ref, real=c.real).values(j, k))
 
     def test_lookups_keep_no_reference_to_the_input(self):
         values = np.arange(1.0, 6.0) + 0j
         table = values.reshape(1, 5).copy()
         seq, c = rule_from_values(values), table_rule(table)
         values[:] = table[:] = 0
-        assert seq.eval(5) == 5.0 and c.eval(1, 5) == 5.0
+        assert scalar_eval(seq, 5) == 5.0 and scalar_eval(c, 1, 5) == 5.0
 
 
 def test_table_rule_support_box():
     c = table_rule(np.ones((3, 4)))
     assert c.support == (3, 4)
-    assert c.eval(3, 4) == 1.0
-    assert c.eval(4, 1) == 0.0
+    assert scalar_eval(c, 3, 4) == 1.0
+    assert scalar_eval(c, 4, 1) == 0.0
     grid = c.values(np.array([[1], [4]]), np.array([[1, 5]]))
     assert grid.shape == (2, 2)
     assert grid[0, 0] == 1.0 and grid[1, 0] == 0.0 and grid[0, 1] == 0.0
@@ -348,7 +351,7 @@ def test_values_fallback_matches_pointwise():
     got = c.values(js[:, None], np.array([[1, 2]]))
     assert got.shape == (3, 2)
     assert got[2, 1] == 32
-    assert c.eval(3, 2) == 32
+    assert scalar_eval(c, 3, 2) == 32
 
 
 def test_geometric_rule_envelope_tail():
@@ -481,3 +484,77 @@ class TestOneBlockEvaluation:
             row_diff_values(c, np.arange(1, 6)[:, None], np.ones((5, 3), dtype=int), 1)
         with pytest.raises(ValueError, match="run"):
             mixed_diff_values(c, np.arange(1, 6), np.arange(2, 7), 1)
+
+
+class TestValuesDtype:
+    """``values`` returns float64 exactly when the rule declares ``real``,
+    and a real rule's values are, bit for bit, the real part of its ``fn``
+    evaluated as a complex rule, whose imaginary part is exactly zero."""
+
+    @staticmethod
+    def single_rules():
+        rng = np.random.default_rng(47)
+        real = rng.normal(size=20)
+        real[3] = -0.0
+        return [
+            geometric_rule(0.5), power_rule(1.5), single_rule(2.0),
+            rule_from_values(real), rule_from_values(real + 1j * rng.normal(size=20)),
+            rule_from_values(rng.integers(-9, 10, size=20)),
+            rule_from_function(lambda k: complex(k, 0.0)),
+            SequenceRule(lambda ks: ks * (1.0 + 0j), real=True),
+        ]
+
+    @staticmethod
+    def double_rules():
+        rng = np.random.default_rng(53)
+        real = rng.normal(size=(12, 9))
+        real[2, 4] = -0.0
+        cplx = rng.normal(size=(7, 11)) + 1j * rng.normal(size=(7, 11))
+        g = geometric_rule(0.5)
+        z = rule_from_values(rng.normal(size=15) + 1j * rng.normal(size=15))
+        return [
+            double_rule(2.0), geometric_double_rule(0.5),
+            table_rule(real), table_rule(cplx), table_rule(rng.integers(-9, 10, size=(8, 6))),
+            product_rule(g, power_rule(2.0)), product_rule(g, z),
+            additive_rule(g, power_rule(2.0)), additive_rule(z, g),
+            transpose_rule(table_rule(real)), transpose_rule(table_rule(cplx)),
+            transpose_rule(product_rule(g, z)),
+            DoubleSequenceRule(lambda js, ks: js * (1.0 + 0j) + ks, real=True),
+        ]
+
+    @staticmethod
+    def check(got, ref, real):
+        assert got.dtype == (np.float64 if real else np.complex128)
+        if real:
+            assert ref.dtype == np.complex128
+            assert_bits_equal(got, ref.real)
+            assert np.all(ref.imag == 0)
+        else:
+            assert_bits_equal(got, ref)
+
+    def test_single_rules(self):
+        for seq in self.single_rules():
+            ref = SequenceRule(seq.fn, real=False)
+            for ks in (np.arange(1, 30), np.arange(1, 13).reshape(3, 4), np.array(5)):
+                self.check(seq.values(ks), ref.values(ks), seq.real)
+
+    def test_double_rules(self):
+        for c in self.double_rules():
+            ref = DoubleSequenceRule(c.fn, real=False)
+            for js, ks in ((np.arange(1, 16)[:, None], np.arange(1, 14)[None, :]),
+                           (np.arange(1, 6), np.arange(3, 8)), (np.array(2), np.arange(1, 9))):
+                self.check(c.values(js, ks), ref.values(js, ks), c.real)
+
+    def test_real_rule_sums_equal_their_complex_evaluation(self):
+        for seq in self.single_rules():
+            ref = SequenceRule(seq.fn, real=False)
+            for n, m, r, x in ((5, 80, 3, 1.0), (1, 50, 2, 2.0), (3, 29, 1, 0.3)):
+                assert direct_sine_sum(seq, n, m, x) == direct_sine_sum(ref, n, m, x)
+                assert sbp_decompose(seq, n, m, r, x) == sbp_decompose(ref, n, m, r, x)
+                assert partial_sum_bound(seq, n, m, r, x) == partial_sum_bound(ref, n, m, r, x)
+
+    def test_declared_real_where_the_input_is_real(self):
+        singles, doubles = self.single_rules(), self.double_rules()
+        assert [s.real for s in singles] == [True, True, True, True, False, True, False, True]
+        assert [c.real for c in doubles] == [True, True, True, False, True, True, False,
+                                             True, False, True, False, False, True]
