@@ -169,28 +169,29 @@ def frontier_product_max(a: np.ndarray, b: np.ndarray,
     the smallest j; ``(-inf, 0, 0)`` when no pair reaches s.  The suffix
     maxima of ``b`` are computed once for all the sums.
     """
-    iv = np.arange(1, a.size + 1)
     sb = _suffix_max(b)
     out = []
     for s in sums:
-        lo = np.clip(s - iv, 1, b.size + 1)
-        cand = np.where(lo <= b.size, a * sb[np.minimum(lo, b.size) - 1], -np.inf)
-        i = int(np.argmax(cand))
-        j = int(lo[i])
-        if j > b.size:
+        i0 = max(1, s - b.size)
+        if i0 > a.size:
             out.append((-math.inf, 0, 0))
-        else:
-            out.append((float(cand[i]), i + 1, j + int(np.argmax(b[j - 1:]))))
+            continue
+        # i in [i0, i1] pairs with j >= s - i, the rest with every j
+        i1 = max(i0 - 1, min(s - 1, a.size))
+        reach = np.concatenate((sb[s - i1 - 1:s - i0][::-1], np.repeat(sb[0], a.size - i1)))
+        cand = a[i0 - 1:] * reach
+        i = i0 + int(np.argmax(cand))
+        j = max(1, s - i)
+        out.append((float(cand[i - i0]), i, j + int(np.argmax(b[j - 1:]))))
     return out
 
 
-# rows of the rule per evaluation in the sampled path, and grid points per
-# batch in the sampled and general-exact paths: the working set is one row
-# block plus a few running rows (sampled) or tables (general) per point of
-# a batch, whatever the grid size
-_ROWS = 64
-_POINTS = 64
-_GENERAL_POINTS = 8
+# entries per remainder batch: the sampled path evaluates B // cap_n rule
+# rows at a time and holds B // max(cap_m, cap_n) points, the general path
+# B // (cap_m * cap_n) point tables, and the product path the y side of
+# B // cap_n abscissas; so the working set is a few times B entries,
+# whatever the grid size
+_BATCH_ENTRIES = 1 << 17
 
 
 def _distinct(zs) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +205,9 @@ def _point_sups_product(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
                         thresholds: Sequence[int],
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     """The start maxima of u are computed once per distinct x and those of
-    v once per distinct y.  The y side is held in batches of about the
-    working set of a sampled batch, ``_POINTS`` rows of ``CORNER_TABLE_CAP``
-    entries; each batch computes the x side once more."""
+    v once per distinct y.  The y side is held in batches of
+    ``_BATCH_ENTRIES // caps[1]`` abscissas; each batch computes the x side
+    once more."""
     u, v = c.factors
     ms = np.arange(1, caps[0] + 1)
     ns = np.arange(1, caps[1] + 1)
@@ -215,7 +216,7 @@ def _point_sups_product(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
     sums = [t + 1 for t in thresholds]  # rectangles with m + n > t
     xs, xi = _distinct([x for x, _ in points])
     ys, yi = _distinct([y for _, y in points])
-    per_batch = max(1, _POINTS * CORNER_TABLE_CAP // caps[1])
+    per_batch = max(1, _BATCH_ENTRIES // caps[1])
     results = [None] * len(points)
     for y0 in range(0, ys.size, per_batch):
         pv = [_start_maxima(np.concatenate(([0.0], np.cumsum(v_vals * np.sin(ns * y)))))
@@ -235,13 +236,14 @@ def _point_sups_general(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
                         thresholds: Sequence[int],
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     """Exact scan for real rules at small caps, O(cap^3) per point, in
-    batches of ``_GENERAL_POINTS`` points."""
+    batches of ``_BATCH_ENTRIES // (caps[0] * caps[1])`` points."""
     js = np.arange(1, caps[0] + 1)
     ks = np.arange(1, caps[1] + 1)
     vals = c.values(js[:, None], ks[None, :])
+    per_batch = max(1, _BATCH_ENTRIES // (caps[0] * caps[1]))
     results = []
-    for p0 in range(0, len(points), _GENERAL_POINTS):
-        batch = points[p0:p0 + _GENERAL_POINTS]
+    for p0 in range(0, len(points), per_batch):
+        batch = points[p0:p0 + per_batch]
         results += _general_scan(np.stack([vals * np.outer(np.sin(js * x), np.sin(ks * y))
                                            for x, y in batch]), thresholds)
     return results
@@ -308,56 +310,49 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     """Lower-bound sampling over log-spaced rectangle corners.
 
-    One sweep over the rows, ``_ROWS`` per rule evaluation, per batch of
-    ``_POINTS`` points folds each row into one running row of column
-    prefix sums per point, and keeps the prefix sums along k of the ladder
-    rows at the ladder columns only."""
+    One sweep over the rows, ``_BATCH_ENTRIES // cap_n`` per rule
+    evaluation, per batch of ``_BATCH_ENTRIES // max(cap_m, cap_n)`` points
+    folds each row into one running row of column prefix sums per point,
+    and keeps the prefix sums along k of the ladder rows at the ladder
+    columns only."""
     cap_m = min(caps[0], CORNER_TABLE_CAP)
     cap_n = min(caps[1], CORNER_TABLE_CAP)
     js = np.arange(1, cap_m + 1)
     ks = np.arange(1, cap_n + 1)
 
     lad_m, lad_n = _corner_ladder(cap_m), _corner_ladder(cap_n)
-    pairs_m = [(m, M) for m in lad_m for M in lad_m if M >= m]
-    pairs_n = [(n, N) for n in lad_n for N in lad_n if N >= n]
-    am = np.array([p[0] for p in pairs_m])
-    aM = np.array([p[1] for p in pairs_m])
-    an = np.array([p[0] for p in pairs_n])
-    aN = np.array([p[1] for p in pairs_n])
+    (im, iM), (i_n, iN) = np.triu_indices(lad_m.size), np.triu_indices(lad_n.size)
+    am, an = lad_m[im], lad_n[i_n]
     sums = am[:, None] + an[None, :]
     # only the prefix rows M and m - 1 and the prefix columns N and n - 1 of
     # the ladder corners are read; row 0 and column 0 are zero
-    rows = np.union1d(lad_m, lad_m - 1)[1:]
+    rows = np.union1d(lad_m, lad_m - 1)
     cols = np.union1d(lad_n, lad_n - 1)
-    at = np.zeros(cap_m + 1, dtype=np.int64)
-    at[rows] = np.arange(1, rows.size + 1)
-    hi, lo = at[aM][:, None], at[am - 1][:, None]
-    col_at = np.zeros(cap_n + 1, dtype=np.int64)
-    col_at[cols] = np.arange(cols.size)
-    hi_n, lo_n = col_at[aN][None, :], col_at[an - 1][None, :]
-    kept = np.zeros(cap_m + 1, dtype=bool)
-    kept[rows] = True
+    hi, lo = np.searchsorted(rows, lad_m[iM])[:, None], np.searchsorted(rows, am - 1)[:, None]
+    hi_n, lo_n = np.searchsorted(cols, lad_n[iN])[None, :], np.searchsorted(cols, an - 1)[None, :]
     dtype = float if c.real else complex
+    per_eval = max(1, _BATCH_ENTRIES // cap_n)
+    per_batch = max(1, _BATCH_ENTRIES // max(cap_m, cap_n))
     results = []
-    for p0 in range(0, len(points), _POINTS):
-        batch = points[p0:p0 + _POINTS]
+    for p0 in range(0, len(points), per_batch):
+        batch = points[p0:p0 + per_batch]
         sx = np.stack([np.sin(js * x) for x, _ in batch], axis=1)
         sy = np.stack([np.sin(ks * y) for _, y in batch])
-        pref = np.zeros((len(batch), rows.size + 1, cols.size), dtype=dtype)
+        pref = np.zeros((len(batch), rows.size, cols.size), dtype=dtype)
         # acc: the running column prefix sums, one row per point; the terms
-        # and sums of the full table's row-by-row prefix, bit for bit
+        # and sums of the full table's row-by-row prefix, bit for bit but
+        # for the sign of a zero, which the rectangles' |.| drops
         sines = np.empty(sy.shape)
-        acc = np.empty(sy.shape, dtype=dtype)
+        acc = np.zeros(sy.shape, dtype=dtype)
         term = sines if c.real else np.empty(sy.shape, dtype=dtype)
-        for i0 in range(0, cap_m, _ROWS):
-            for i, row in enumerate(c.values(js[i0:i0 + _ROWS, None], ks[None, :]), i0):
-                np.multiply(sx[i][:, None], sy, out=sines)
-                if i == 0:
-                    np.multiply(row, sines, out=acc)
-                else:
-                    np.add(acc, np.multiply(row, sines, out=term), out=acc)
-                if kept[i + 1]:
-                    pref[:, at[i + 1], 1:] = np.cumsum(acc, axis=1)[:, cols[1:] - 1]
+        r = 1  # rows[r]: the next prefix row to keep
+        for i0 in range(0, cap_m, per_eval):
+            for i, row in enumerate(c.values(js[i0:i0 + per_eval, None], ks[None, :]), i0 + 1):
+                np.multiply(sx[i - 1][:, None], sy, out=sines)
+                np.add(acc, np.multiply(row, sines, out=term), out=acc)
+                if i == rows[r]:
+                    pref[:, r, 1:] = np.cumsum(acc, axis=1)[:, cols[1:] - 1]
+                    r += 1
         for p in range(len(batch)):
             pp = pref[p]
             rect = np.abs(pp[hi, hi_n] - pp[lo, hi_n] - pp[hi, lo_n] + pp[lo, lo_n])
@@ -410,6 +405,18 @@ def _validate_thresholds(thresholds: Sequence[int], caps: tuple[int, int]) -> li
     return ts
 
 
+def _profile(c: DoubleSequenceRule, pairs: list[tuple[float, float]], ts: list[int],
+             caps: tuple[int, int]) -> RemainderProfile:
+    """The profile over ``pairs``: per threshold, the first pair of largest sup."""
+    results, exact = _point_sups(c, pairs, ts, caps)
+    entries = []
+    for ti, t in enumerate(ts):
+        best = max(range(len(pairs)), key=lambda i: results[i][ti][0])
+        entries.append(ProfileEntry(t, *results[best][ti], *pairs[best]))
+    verdict = _convergence_verdict([e.sup for e in entries], exact)
+    return RemainderProfile(entries, tuple(caps), verdict, exact, len(pairs))
+
+
 def regular_remainder_sup(c: DoubleSequenceRule, grid, thresholds: Sequence[int],
                           caps: tuple[int, int]) -> RemainderProfile:
     """Profile sup |rectangle sum| over the grid, per remainder threshold.
@@ -425,16 +432,7 @@ def regular_remainder_sup(c: DoubleSequenceRule, grid, thresholds: Sequence[int]
         raise ValueError("empty abscissa grid")
     if pts.size > GRID_ABSCISSA_LIMIT:
         raise ValueError(f"more than {GRID_ABSCISSA_LIMIT} grid abscissas")
-    pairs = [(float(x), float(y)) for x in pts for y in pts]
-    results, exact = _point_sups(c, pairs, ts, caps)
-    entries = []
-    for ti, t in enumerate(ts):
-        best = max(range(len(pairs)), key=lambda i: results[i][ti][0])
-        sup, m, n = results[best][ti]
-        x, y = pairs[best]
-        entries.append(ProfileEntry(t, sup, m, n, x, y))
-    verdict = _convergence_verdict([e.sup for e in entries], exact)
-    return RemainderProfile(entries, tuple(caps), verdict, exact, len(pairs))
+    return _profile(c, [(float(x), float(y)) for x in pts for y in pts], ts, caps)
 
 
 def rational_point_convergence(c: DoubleSequenceRule, r: int, l1: int, l2: int,
@@ -443,23 +441,19 @@ def rational_point_convergence(c: DoubleSequenceRule, r: int, l1: int, l2: int,
     """Remainder profile at the single point (2*l1*pi/r, 2*l2*pi/r).
 
     For r in {1, 2} every sine factor vanishes at these points, so the
-    condition holds trivially and an empty converging profile is returned.
+    condition holds trivially and an empty converging profile is returned;
+    the thresholds and caps are checked at every r.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    limit = r // 2 - 1 if r % 2 == 0 else r // 2
+    if r > 2 and not (1 <= l1 <= limit and 1 <= l2 <= limit):
+        raise ValueError(f"band indices must lie in [1, {limit}] for r={r}")
+    ts = _validate_thresholds(thresholds, caps)
     if r <= 2:
         return RemainderProfile([], tuple(caps), ConvergenceVerdict.CONVERGING,
                                 exact=True, grid_size=0, trivial=True)
-    limit = r // 2 - 1 if r % 2 == 0 else r // 2
-    if not (1 <= l1 <= limit and 1 <= l2 <= limit):
-        raise ValueError(f"band indices must lie in [1, {limit}] for r={r}")
-    ts = _validate_thresholds(thresholds, caps)
-    x = 2 * l1 * math.pi / r
-    y = 2 * l2 * math.pi / r
-    sups, exact = _point_sups(c, [(x, y)], ts, caps)
-    entries = [ProfileEntry(t, s, m, n, x, y) for t, (s, m, n) in zip(ts, sups[0])]
-    verdict = _convergence_verdict([e.sup for e in entries], exact)
-    return RemainderProfile(entries, tuple(caps), verdict, exact, 1)
+    return _profile(c, [(2 * l1 * math.pi / r, 2 * l2 * math.pi / r)], ts, caps)
 
 
 # ---------------------------------------------------------------------------

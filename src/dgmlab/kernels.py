@@ -344,8 +344,6 @@ def _sweep_half_band(r: int, band: int, lo: float, hi: float, points: int, shift
     """
     width = hi - lo
     xs = np.linspace(lo + width / (points + 1), hi - width / (points + 1), points)
-    if points <= block:  # one block, computed whole
-        return _sweep_columns(shifts, reads, xs, *_denominators_and_bounds(xs, r, band), buf)
     starts = np.arange(0, points, _TILE)
     if starts.size > 1:
         ends = np.minimum(np.add.outer(starts, [0, _TILE - 1]), points - 1)

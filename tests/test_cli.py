@@ -82,7 +82,7 @@ class TestEmbeddingCommand:
 
 
 class TestSbpCommand:
-    def test_exact_identity(self, tmp_path):
+    def test_exact_identity(self, tmp_path, capsys):
         code = run(tmp_path, "sbp", "--seq", "power", "--exponent", "1.5",
                    "--start", "5", "--end", "80", "--r", "3", "--x", "1.0")
         assert code == 0
@@ -91,6 +91,9 @@ class TestSbpCommand:
         comps = {r[0] for r in rows}
         assert {"main_term", "upper_boundary", "lower_boundary",
                 "total", "direct_sum", "relative_error"} <= comps
+        capsys.readouterr()
+        assert run(tmp_path, "sbp", "--seq", "proposition", "--end", "60") == 0
+        assert capsys.readouterr().out.startswith("sbp: exact")
 
     def test_singular_x_is_usage_error(self, tmp_path):
         code = run(tmp_path, "sbp", "--seq", "geometric", "--start", "1",
@@ -523,6 +526,18 @@ class TestBoundedInputs:
         (["sbp", "--seq", "geometric", "--end", str(HORIZON_LIMIT - 2), "--r", "3"], "r"),
         (["kernel-bound", "--r", str(KERNEL_STEP_LIMIT + 1)], "r"),
         (["kernel-bound", "--r", str(10**12)], "r"),
+        (["converge", "--seq", "geometric", "--grid-r", "2", "--at-rational", "1,1",
+          "--thresholds", "5,3"], "at-rational"),
+        (["converge", "--seq", "geometric", "--grid-r", "2", "--at-rational", "1,1",
+          "--thresholds", "100", "--cap", "50"], "at-rational"),
+        (["embedding", "--seq", "geometric", "--p1", "2", "--p2", "1"], "p1"),
+        (["embedding", "--seq", "geometric", "--r1", "2", "--r2", "3"], "r1"),
+        (["embedding", "--seq", "geometric", "--p", "0.5", "--r1", "1", "--r2", "2"], "p"),
+        (["sbp", "--seq", "geometric", "--start", "5", "--end", "4"], "end"),
+        (["counterexample", "certify", "--n-max", "-1"], "n-max"),
+        (["converge", "--seq", "geometric", "--grid", "r"], "grid"),
+        (["converge", "--seq", "table"], "table-file"),
+        (["sbp", "--seq", "proposition", "--seq-p", "1"], "seq-p"),
     ])
     def test_refused_fast(self, tmp_path, capsys, argv, field):
         t0 = time.perf_counter()

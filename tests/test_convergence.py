@@ -448,10 +448,13 @@ POINTS_MIXED = [(2.0, 0.5), (0.5, 2.0), (2.0, 0.5), (0.3, 0.3), (2.0, 0.3), (0.5
 
 
 def _constants(monkeypatch, value):
-    """Patch the row-block and point-batch sizes; None keeps the defaults."""
+    """Patch the batch budget: 1 makes every batch one row, point or
+    abscissa; 7 makes it 7 rows of the widest sampled case, 1050 entries,
+    so the sampled cases up to cap 150 and the general cases up to 20 x 18
+    take several batches of several rows and points; None keeps the
+    default."""
     if value is not None:
-        for name in ("_ROWS", "_POINTS", "_GENERAL_POINTS"):
-            monkeypatch.setattr(convergence, name, value)
+        monkeypatch.setattr(convergence, "_BATCH_ENTRIES", 1 if value == 1 else 150 * value)
 
 
 class TestBatchedRemainderPaths:
@@ -588,10 +591,12 @@ class TestBatchedRemainderPaths:
 
         monkeypatch.setattr(DoubleSequenceRule, "values", counted_values)
         cap_m, cap_n = 300, 200
+        budget = 64 * cap_m  # 64 points a batch
+        monkeypatch.setattr(convergence, "_BATCH_ENTRIES", budget)
         c = additive_rule(geometric_rule(0.6), power_rule(1.5))
         _point_sups(c, points, [8, 40], (cap_m, cap_n))
-        assert -(-len(points) // convergence._POINTS) == batches
-        assert max(sizes) <= convergence._ROWS * cap_n
+        assert -(-len(points) // (budget // max(cap_m, cap_n))) == batches
+        assert max(sizes) <= budget
         assert sum(sizes) == batches * cap_m * cap_n
 
     def test_sampled_path_holds_no_full_table(self):
@@ -605,6 +610,23 @@ class TestBatchedRemainderPaths:
         finally:
             tracemalloc.stop()
         assert peak < caps[0] * caps[1] * 8 / 4, peak
+
+    @pytest.mark.parametrize("caps, fixed_peak", [((CORNER_TABLE_CAP, 16), 5_053_091),
+                                                  ((16, CORNER_TABLE_CAP), 6_573_564)])
+    def test_sampled_path_on_one_long_axis(self, caps, fixed_peak):
+        # fixed_peak: measured on these calls with fixed batches of 64 rows
+        # and 64 points; a batch holds B // max(caps) points, so a short
+        # axis grows neither sine stack (B // cap_n points read 9.7 MB at
+        # caps (2048, 16), under twice the fixed peak)
+        c = additive_rule(geometric_rule(0.6), power_rule(1.5))
+        points = _pairs(np.linspace(0.3, 3.1, 16))
+        tracemalloc.start()
+        try:
+            _point_sups(c, points, [4, 12], caps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * fixed_peak, peak
 
 
 class TestGridLimit:
@@ -685,6 +707,16 @@ class TestRationalPoint:
         with pytest.raises(ValueError):
             rational_point_convergence(c, 5, 3, 1, [10], (64, 64))  # limit is 2
         rational_point_convergence(c, 5, 2, 2, [10], (64, 64))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_thresholds_and_caps_are_checked_at_every_step(self, r):
+        c = geometric_double_rule(0.5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rational_point_convergence(c, r, 1, 1, [5, 3], (64, 64))
+        with pytest.raises(ValueError, match="at least the largest threshold"):
+            rational_point_convergence(c, r, 1, 1, [100], (50, 50))
+        with pytest.raises(ValueError, match="caps must be in"):
+            rational_point_convergence(c, r, 1, 1, [10], (0, 64))
 
 
 class TestDecayReports:

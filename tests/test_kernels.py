@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -131,6 +132,25 @@ class TestSbp:
         dec = sbp_decompose(seq, n, n + span, r, x)
         direct = direct_sine_sum(seq, n, n + span, x)
         assert abs(dec.total - direct) <= REL * (1 + abs(direct))
+
+
+class TestDirectSineSum:
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_long_sums_are_exactly_rounded(self, real):
+        # past 100,000 terms each part of the sum is exact, rounded once:
+        # terms of about +-1e16 and 1 whose float sum drops the ones
+        size = 100_003
+        rng = np.random.default_rng(17)
+        arr = np.where(np.arange(size) % 2, 1.0, rng.choice([-1e16, 1e16], size=size))
+        arr = arr / np.sin(np.arange(1, size + 1) * 1.0)
+        if not real:
+            arr = arr + 1j * arr[::-1]
+        ks = np.arange(2, size + 1)
+        sines = np.sin(ks * 1.0)
+        parts = (np.real(arr[1:]) * sines, np.imag(arr[1:]) * sines)
+        want = complex(*(float(sum(map(Fraction, part.tolist()))) for part in parts))
+        assert complex((arr[1:] * sines.astype(complex)).sum()) != want
+        assert direct_sine_sum(rule_from_values(arr), 2, size, 1.0) == want
 
 
 class TestBandBound:
