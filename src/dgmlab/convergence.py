@@ -187,10 +187,10 @@ def frontier_product_max(a: np.ndarray, b: np.ndarray,
 
 
 # entries per remainder batch: the sampled path evaluates B // cap_n rule
-# rows at a time and holds B // max(cap_m, cap_n) points, the general path
-# B // (cap_m * cap_n) point tables, and the product path the y side of
-# B // cap_n abscissas; so the working set is a few times B entries,
-# whatever the grid size
+# rows at a time and holds B // max(cap_m, cap_n, corner rows x corner
+# columns) points, the general path B // (cap_m * cap_n) point tables, and
+# the product path the y side of B // cap_n abscissas; so no array of a
+# batch holds more than B entries, whatever the caps and the grid size
 _BATCH_ENTRIES = 1 << 17
 
 
@@ -311,8 +311,8 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
     """Lower-bound sampling over log-spaced rectangle corners.
 
     One sweep over the rows, ``_BATCH_ENTRIES // cap_n`` per rule
-    evaluation, per batch of ``_BATCH_ENTRIES // max(cap_m, cap_n)`` points
-    folds each row into one running row of column prefix sums per point,
+    evaluation, per batch of points (at most ``_BATCH_ENTRIES`` entries in
+    each sine stack and in the corner prefix sums) folds each row into one running row of column prefix sums per point,
     and keeps the prefix sums along k of the ladder rows at the ladder
     columns only."""
     cap_m = min(caps[0], CORNER_TABLE_CAP)
@@ -332,13 +332,14 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
     hi_n, lo_n = np.searchsorted(cols, lad_n[iN])[None, :], np.searchsorted(cols, an - 1)[None, :]
     dtype = float if c.real else complex
     per_eval = max(1, _BATCH_ENTRIES // cap_n)
-    per_batch = max(1, _BATCH_ENTRIES // max(cap_m, cap_n))
+    per_batch = max(1, _BATCH_ENTRIES // max(cap_m, cap_n, rows.size * cols.size))
+    # row 0 and column 0 are never written, so one stack serves every batch
+    pref = np.zeros((min(per_batch, len(points)), rows.size, cols.size), dtype=dtype)
     results = []
     for p0 in range(0, len(points), per_batch):
         batch = points[p0:p0 + per_batch]
         sx = np.stack([np.sin(js * x) for x, _ in batch], axis=1)
         sy = np.stack([np.sin(ks * y) for _, y in batch])
-        pref = np.zeros((len(batch), rows.size, cols.size), dtype=dtype)
         # acc: the running column prefix sums, one row per point; the terms
         # and sums of the full table's row-by-row prefix, bit for bit but
         # for the sign of a zero, which the rectangles' |.| drops
@@ -351,7 +352,7 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
                 np.multiply(sx[i - 1][:, None], sy, out=sines)
                 np.add(acc, np.multiply(row, sines, out=term), out=acc)
                 if i == rows[r]:
-                    pref[:, r, 1:] = np.cumsum(acc, axis=1)[:, cols[1:] - 1]
+                    pref[:len(batch), r, 1:] = np.cumsum(acc, axis=1)[:, cols[1:] - 1]
                     r += 1
         for p in range(len(batch)):
             pp = pref[p]

@@ -447,14 +447,15 @@ POINTS_81 = _pairs(np.linspace(0.3, 3.1, 9))
 POINTS_MIXED = [(2.0, 0.5), (0.5, 2.0), (2.0, 0.5), (0.3, 0.3), (2.0, 0.3), (0.5, 0.5)]
 
 
-def _constants(monkeypatch, value):
+def _constants(monkeypatch, value, width):
     """Patch the batch budget: 1 makes every batch one row, point or
-    abscissa; 7 makes it 7 rows of the widest sampled case, 1050 entries,
-    so the sampled cases up to cap 150 and the general cases up to 20 x 18
-    take several batches of several rows and points; None keeps the
-    default."""
+    abscissa; 7 makes it 7 items of width entries, width being one item of
+    the widest case: one point's corner prefix sums (27 x 27 at the sampled
+    caps near 140) or point table (20 x 18), or one clipped row
+    (CORNER_TABLE_CAP, which gives the product path 7 * 2048 // caps[1]
+    abscissas a batch); None keeps the default."""
     if value is not None:
-        monkeypatch.setattr(convergence, "_BATCH_ENTRIES", 1 if value == 1 else 150 * value)
+        monkeypatch.setattr(convergence, "_BATCH_ENTRIES", 1 if value == 1 else value * width)
 
 
 class TestBatchedRemainderPaths:
@@ -519,7 +520,7 @@ class TestBatchedRemainderPaths:
     @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
     def test_sampled_path(self, monkeypatch, value):
         ts, cases = self.expected("sampled")
-        _constants(monkeypatch, value)
+        _constants(monkeypatch, value, 27 * 27)
         for name, c, caps, points, want in cases:
             got, exact = _point_sups(c, points, ts, caps)
             assert not exact, name
@@ -542,13 +543,13 @@ class TestBatchedRemainderPaths:
         points = POINTS_81[::40]
         ts = [8, 40, 2090]
         want = per_point_sampled_sups(c, points, ts, caps)
-        _constants(monkeypatch, value)
+        _constants(monkeypatch, value, CORNER_TABLE_CAP)
         assert _point_sups(c, points, ts, caps) == (want, False)
 
     @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
     def test_general_path(self, monkeypatch, value):
         ts, cases = self.expected("general")
-        _constants(monkeypatch, value)
+        _constants(monkeypatch, value, 20 * 18)
         for name, c, caps, points, want in cases:
             got, exact = _point_sups(c, points, ts, caps)
             assert exact, name
@@ -560,7 +561,7 @@ class TestBatchedRemainderPaths:
     @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
     def test_product_path(self, monkeypatch, value):
         ts, cases = self.expected("product")
-        _constants(monkeypatch, value)
+        _constants(monkeypatch, value, CORNER_TABLE_CAP)
         for name, c, caps, points, want in cases:
             assert _point_sups(c, points, ts, caps) == (want, True), name
 
@@ -591,11 +592,13 @@ class TestBatchedRemainderPaths:
 
         monkeypatch.setattr(DoubleSequenceRule, "values", counted_values)
         cap_m, cap_n = 300, 200
-        budget = 64 * cap_m  # 64 points a batch
+        # 64 points a batch: one point's corner prefix sums hold 31 x 29
+        # entries at these caps, more than either cap
+        budget = 64 * 31 * 29
         monkeypatch.setattr(convergence, "_BATCH_ENTRIES", budget)
         c = additive_rule(geometric_rule(0.6), power_rule(1.5))
         _point_sups(c, points, [8, 40], (cap_m, cap_n))
-        assert -(-len(points) // (budget // max(cap_m, cap_n))) == batches
+        assert -(-len(points) // 64) == batches
         assert max(sizes) <= budget
         assert sum(sizes) == batches * cap_m * cap_n
 
@@ -627,6 +630,25 @@ class TestBatchedRemainderPaths:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * fixed_peak, peak
+
+    @pytest.mark.parametrize("cap", [64, 130])
+    def test_sampled_path_at_middle_caps(self, cap):
+        # a batch holds B // (corner rows x corner columns) points at these
+        # caps, so its corner prefix sums take at most B complex entries,
+        # 2.1 MB, and its sine stacks and running sums, cap x points entries
+        # each, less; these calls read 4.3 MB and 5.3 MB, against 12.5 MB and
+        # 22.1 MB with batches of B // cap points (1008 or more) and 1.9 MB
+        # and 3.1 MB with fixed batches of 64 points
+        rng = np.random.default_rng(130)
+        c = table_rule(rng.normal(size=(cap, cap)) + 1j * rng.normal(size=(cap, cap)))
+        points = _pairs(np.linspace(0.3, 3.1, 32))
+        tracemalloc.start()
+        try:
+            _point_sups(c, points, [4, 12], (cap, cap))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * convergence._BATCH_ENTRIES, peak
 
 
 class TestGridLimit:
