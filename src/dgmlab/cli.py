@@ -149,16 +149,18 @@ def _block_pairs(text: str) -> list[tuple[int, int]]:
 def _load_table(path: str):
     """CSV rows (j, k, re[, im]) with implicit zeros elsewhere."""
     entries = []
+    first = True
     try:
         with open(path, newline="") as fh:
             for i, row in enumerate(csv.reader(fh)):
                 if not row or not row[0].strip():
                     continue
+                header, first = first, False
                 try:
                     j, k = int(row[0]), int(row[1])
                 except ValueError:
-                    if i == 0:
-                        continue  # header row
+                    if header:
+                        continue  # the first non-blank row may be a header
                     raise UsageError("table-file", f"row {i + 1}: bad indices") from None
                 if j < 1 or k < 1 or len(row) < 3:
                     raise UsageError("table-file", f"row {i + 1}: need j,k >= 1 and a value")
@@ -389,7 +391,8 @@ def _run_converge(args: argparse.Namespace) -> _Run:
         try:
             grid = GridSpec(r=gr, points_per_band=points, exclusion_radius=args.exclusion)
         except ValueError as exc:
-            raise UsageError("grid-r", str(exc)) from None
+            # the step, the points and the abscissa bound are refused above
+            raise UsageError("exclusion", str(exc)) from None
         profile = regular_remainder_sup(c, grid, thresholds, caps)
         where = f"grid r={gr} ({profile.grid_size} points)"
     entries = profile.entries

@@ -144,7 +144,7 @@ def violation_ratio(m: int, n: int, p: float, spec: BoundSpec | None = None,
     horizons, whereas the full sum approaches it only slowly from below.
     """
     # imported here, so that the rules of the example load without membership
-    from .membership import BoundFamily, BoundSpec, rhs_row_bound
+    from .membership import BoundFamily, BoundSpec, _ratio, rhs_row_bound
 
     if m < 1 or n < 1:
         raise ValueError("block indices must be >= 1")
@@ -159,7 +159,4 @@ def violation_ratio(m: int, n: int, p: float, spec: BoundSpec | None = None,
         diffs = diffs[ks % 6 == 3]
     lhs = p_norm(diffs, norm_exponent)
     # the column bound is the row bound of the transposed rule
-    rhs = rhs_row_bound(transpose_rule(double_rule(p)), n, m, spec)
-    if rhs.value <= 0:
-        return math.inf if lhs > 0 else 0.0
-    return lhs / rhs.value
+    return _ratio(lhs, rhs_row_bound(transpose_rule(double_rule(p)), n, m, spec).value)

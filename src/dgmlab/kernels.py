@@ -182,11 +182,7 @@ def direct_sine_sum(seq: SequenceRule, n: int, m: int, x: float) -> complex:
     ks = np.arange(n, m + 1)
     # complex sines: numpy pairs a float sum's terms differently from a complex sum's
     terms = seq.values(ks) * np.sin(ks * x).astype(complex)
-    if terms.size <= 100_000:
-        return complex(terms.sum())
-    re = math.fsum(terms.real.tolist())
-    im = math.fsum(terms.imag.tolist())
-    return complex(re, im)
+    return complex(terms.sum()) if terms.size <= 100_000 else _exact_sum(terms)
 
 
 @dataclass(frozen=True)

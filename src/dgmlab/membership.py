@@ -40,7 +40,6 @@ from .sequences import (
     row_diff_values,
     step_diff_values,
     transpose_rule,
-    window_diff_p_norm,
 )
 
 REL_TOL = 1e-12
@@ -284,6 +283,33 @@ def _row_lhs(c: DoubleSequenceRule, m: int, n: int, p: float, r: int) -> float:
     return p_norm(row_diff_values(c, np.arange(m, 2 * m), n, r), p)
 
 
+_AXES = ("row", "col", "mixed")
+
+
+def _sides(c: DoubleSequenceRule, t: DoubleSequenceRule, m: int, n: int,
+           p: float, r: int) -> tuple[float, float, float]:
+    """Row, column and mixed left-hand sides of block (m, n); ``t`` is
+    ``transpose_rule(c)``, whose row side is c's column side."""
+    return _row_lhs(c, m, n, p, r), _row_lhs(t, n, m, p, r), double_block_p_norm(c, m, n, p, r)
+
+
+def _ratio(lhs: float, bound: float) -> float:
+    """``lhs / bound``; against a zero bound, infinite for a positive lhs, else 0."""
+    return lhs / bound if bound > 0 else math.inf if lhs > 0 else 0.0
+
+
+def _evidence(m: int, n: int, axis: str, lhs: float, rhs: BoundValue) -> BlockEvidence:
+    return BlockEvidence(m, n, axis, lhs, rhs.value, _ratio(lhs, rhs.value),
+                         truncated=rhs.truncated or not rhs.conclusive)
+
+
+def _check_scan(blocks: Sequence, p: float, r: int) -> None:
+    if not blocks:
+        raise ValueError("block list must not be empty")
+    if p <= 0 or r < 1:
+        raise ValueError("need p > 0 and r >= 1")
+
+
 def _fit_axis(axis: str, pts: list[tuple[float, float]]) -> AxisFit | None:
     pts = [(a, v) for a, v in pts if a > 0 and v > 0 and math.isfinite(v)]
     if len(pts) < 3:
@@ -312,27 +338,14 @@ def membership_scan(c: DoubleSequenceRule, p: float, r: int, spec: BoundSpec,
     with log-log correlation >= 0.9; truncated bounds otherwise degrade
     the verdict to INCONCLUSIVE.
     """
-    if not blocks:
-        raise ValueError("block list must not be empty")
-    if p <= 0 or r < 1:
-        raise ValueError("need p > 0 and r >= 1")
+    _check_scan(blocks, p, r)
     t = transpose_rule(c)
-
-    def one(block: tuple[int, int]) -> list[BlockEvidence]:
-        m, n = block
-        triples = (
-            ("row", _row_lhs(c, m, n, p, r), rhs_row_bound(c, m, n, spec)),
-            ("col", _row_lhs(t, n, m, p, r), rhs_row_bound(t, n, m, spec)),
-            ("mixed", double_block_p_norm(c, m, n, p, r), rhs_mixed_bound(c, m, n, spec)),
-        )
-        out = []
-        for axis, lhs, rhs in triples:
-            ratio = lhs / rhs.value if rhs.value > 0 else math.inf if lhs > 0 else 0.0
-            out.append(BlockEvidence(m, n, axis, lhs, rhs.value, ratio,
-                                     truncated=rhs.truncated or not rhs.conclusive))
-        return out
-
-    return _aggregate([e for block in blocks for e in one(block)])
+    return _aggregate([
+        _evidence(m, n, axis, lhs, rhs)
+        for m, n in blocks
+        for axis, lhs, rhs in zip(_AXES, _sides(c, t, m, n, p, r),
+                                  (rhs_row_bound(c, m, n, spec), rhs_row_bound(t, n, m, spec),
+                                   rhs_mixed_bound(c, m, n, spec)))])
 
 
 def _aggregate(evidence: list[BlockEvidence]) -> MembershipReport:
@@ -370,23 +383,13 @@ def _aggregate(evidence: list[BlockEvidence]) -> MembershipReport:
 def gm_membership_scan(seq: SequenceRule, p: float, r: int, spec: BoundSpec,
                        blocks: Sequence[int]) -> MembershipReport:
     """Single-sequence analogue: block p-norms against the 1-D families."""
-    if not blocks:
-        raise ValueError("block list must not be empty")
-    if p <= 0 or r < 1:
-        raise ValueError("need p > 0 and r >= 1")
+    _check_scan(blocks, p, r)
     # wrap the single sequence as a column-constant double rule so the
     # row-family window machinery applies unchanged
     line = DoubleSequenceRule(lambda js, ks: seq.values(js), label=seq.label,
                               real=seq.real)
-
-    def one(m: int) -> list[BlockEvidence]:
-        lhs = block_p_norm(seq, m, p, r)
-        rhs = rhs_row_bound(line, m, 1, spec)
-        ratio = lhs / rhs.value if rhs.value > 0 else math.inf if lhs > 0 else 0.0
-        return [BlockEvidence(m, 0, "row", lhs, rhs.value, ratio,
-                              truncated=rhs.truncated or not rhs.conclusive)]
-
-    return _aggregate([e for m in blocks for e in one(m)])
+    return _aggregate([_evidence(m, 0, "row", block_p_norm(seq, m, p, r),
+                                 rhs_row_bound(line, m, 1, spec)) for m in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +426,12 @@ def embedding_check(c: DoubleSequenceRule, r: int, p1: float, p2: float,
     if not 0 < p1 <= p2:
         raise ValueError("need 0 < p1 <= p2")
     t = transpose_rule(c)
-    violations = []
-    checked = 0
-    for m, n in blocks:
-        pairs = (
-            ("row", _row_lhs(c, m, n, p2, r), _row_lhs(c, m, n, p1, r)),
-            ("col", _row_lhs(t, n, m, p2, r), _row_lhs(t, n, m, p1, r)),
-            ("mixed", double_block_p_norm(c, m, n, p2, r),
-             double_block_p_norm(c, m, n, p1, r)),
-        )
-        for axis, small, big in pairs:
-            checked += 1
-            if not _leq(small, big):
-                violations.append(EmbeddingViolation(m, n, axis, small, big))
-    return EmbeddingReport(not violations, checked, violations)
+    violations = [
+        EmbeddingViolation(m, n, axis, small, big)
+        for m, n in blocks
+        for axis, small, big in zip(_AXES, _sides(c, t, m, n, p2, r), _sides(c, t, m, n, p1, r))
+        if not _leq(small, big)]
+    return EmbeddingReport(not violations, 3 * len(blocks), violations)
 
 
 def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
@@ -461,7 +456,7 @@ def divisor_embedding_check(c: DoubleSequenceRule, p: float, r1: int, r2: int,
     for m, n in blocks:
         for axis, rule, start, other in (("row", c, m, n), ("col", t, n, m)):
             seq = SequenceRule(lambda js: rule.values(js, other), real=c.real)
-            lhs = window_diff_p_norm(seq, start, start, p, r2)
+            lhs = block_p_norm(seq, start, p, r2)
             run = step_diff_values(seq, np.arange(start, 2 * start + (q - 1) * r1), r1)
             chain = sum(p_norm(run[i * r1:i * r1 + start], p) for i in range(q))
             checked += 1

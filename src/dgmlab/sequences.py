@@ -255,17 +255,6 @@ def double_block_p_norm(c: DoubleSequenceRule, m: int, n: int, p: float, r: int)
     return p_norm(mixed_diff_values(c, js, ks, r), p)
 
 
-def window_diff_p_norm(seq: SequenceRule, start: int, length: int, p: float, r: int) -> float:
-    """Step-r difference p-norm over an arbitrary window ``[start, start+length)``.
-
-    The dyadic ``block_p_norm`` is the ``length == start`` special case;
-    the shifted windows appear in the divisor-embedding chain.
-    """
-    if length < 1:
-        raise ValueError("window length must be >= 1")
-    return p_norm(step_diff_values(seq, np.arange(start, start + length), r), p)
-
-
 # ---------------------------------------------------------------------------
 # rule constructors
 

@@ -356,6 +356,29 @@ class TestTableInput:
         _, rows = read_csv(tmp_path / "profile.csv")
         assert rows and all(float(r[1]) == 0.0 for r in rows)
 
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        body = "1,1,0.5\n1,2,0.25\n2,1,0.25\n3,3,-0.125\n"
+        runs = []
+        for name, text in (("plain", body), ("blank-header", "\n \nj,k,re\n" + body)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            out = tmp_path / name
+            code = main(["membership", "--seq", "table", "--table-file", str(path),
+                         "--blocks", "2x2,4x4", "--out", str(out)])
+            runs.append((code, capsys.readouterr(), (out / "membership.csv").read_bytes()))
+        assert runs[0] == runs[1] and runs[0][0] != 3
+
+    @pytest.mark.parametrize("text, row", [
+        ("\n1,1,0.5\nx,2,0.25\n", 3),
+        ("\nj,k,re\nj,k,re\n1,1,0.5\n", 3),
+        ("j,k,re\n\n1,1,0.5\nk,1,0.5\n", 4),
+    ])
+    def test_bad_indices_past_the_first_row(self, tmp_path, capsys, text, row):
+        path = tmp_path / "late.csv"
+        path.write_text(text)
+        assert run(tmp_path, "membership", "--seq", "table", "--table-file", str(path)) == 3
+        assert capsys.readouterr().err == f"error: field 'table-file': row {row}: bad indices\n"
+
     def test_non_finite_values_rejected(self, tmp_path, capsys):
         for value in ("nan", "inf", "0.25,-inf"):
             path = tmp_path / "odd.csv"
@@ -430,6 +453,13 @@ class TestConfigFile:
         code, _ = self.run_with(tmp_path, "cfg", "cap = abc\n", "membership")
         assert code == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_bad_exclusion_names_field(self, tmp_path, capsys):
+        code, _ = self.run_with(tmp_path, "cfg", "exclusion = -1\n", "converge",
+                                "--seq", "geometric")
+        assert code == 3
+        assert capsys.readouterr().err == ("error: field 'exclusion': "
+                                           "exclusion_radius out of range\n")
 
     def test_negative_number_parses(self, tmp_path, capsys):
         code, _ = self.run_with(tmp_path, "cfg", "p = -1\n", "membership")
@@ -510,6 +540,12 @@ class TestUsageErrors:
 class TestBoundedInputs:
     """Inputs past the stated bounds are refused at once with exit 3."""
 
+    TABLES = {
+        "late-index.csv": "1,1,0.5\nx,2,0.25\n",
+        "no-entries.csv": "j,k,re\n\n",
+        "wide.csv": "1,1,0.5\n2048,2049,0.25\n",  # a support box past 2^22 entries
+    }
+
     @pytest.mark.parametrize("argv, field", [
         (["counterexample", "ratio", "--seq-p", "2", "--octaves", "4:40"], "octaves"),
         (["membership", "--seq", "geometric", "--octaves", "20:40"], "octaves"),
@@ -538,8 +574,22 @@ class TestBoundedInputs:
         (["converge", "--seq", "geometric", "--grid", "r"], "grid"),
         (["converge", "--seq", "table"], "table-file"),
         (["sbp", "--seq", "proposition", "--seq-p", "1"], "seq-p"),
+        (["converge", "--seq", "geometric", "--exclusion", "0"], "exclusion"),
+        (["converge", "--seq", "geometric", "--exclusion", "1"], "exclusion"),
+        (["converge", "--seq", "geometric", "--grid", "r=3,exclusion=nan"], "exclusion"),
+        (["membership", "--config", "missing.cfg"], "config"),
+        (["converge", "--at-rational", "1"], "usage"),
+        (["membership", "--seq", "table", "--table-file", "late-index.csv"], "table-file"),
+        (["membership", "--seq", "table", "--table-file", "no-entries.csv"], "table-file"),
+        (["membership", "--seq", "table", "--table-file", "wide.csv"], "table-file"),
+        (["sbp", "--seq", "separable"], "seq"),
+        (["membership", "--family", "mean-value", "--lambda", "1"], "lambda"),
     ])
-    def test_refused_fast(self, tmp_path, capsys, argv, field):
+    def test_refused_fast(self, tmp_path, capsys, monkeypatch, argv, field):
+        # the table files above, named relative to the working directory
+        for name, text in self.TABLES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
         t0 = time.perf_counter()
         assert run(tmp_path, *argv) == 3
         assert time.perf_counter() - t0 < 1.0

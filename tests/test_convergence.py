@@ -1190,3 +1190,26 @@ class TestLogIntegral:
         for n, N, p in ((1, 10**400, 2.0), (10**400, 3, 2.0), (10**308, 10**308, 1.0)):
             with pytest.raises(ValueError, match="overflows"):
                 log_integral_bound(n, N, p)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: regular_remainder_sup(geometric_double_rule(0.5), np.array([]), [4], (8, 8)),
+     "empty abscissa grid"),
+    (lambda: rational_point_convergence(geometric_double_rule(0.5), 0, 1, 1, [4], (8, 8)),
+     "r must be >= 1"),
+])
+def test_library_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_decay_trend_from_too_few_samples():
+    # two positive jk samples, (2, 2) and (4, 4): no trend is fitted, and the
+    # tail falling by half reads decaying
+    arr = np.zeros((4, 4))
+    arr[1, 1], arr[3, 3] = 1.0, 0.01
+    rep = decay_report(table_rule(arr), "jk", [4, 8], 16)
+    assert sum(s.value > 0 for s in rep.samples) == 2
+    assert math.isnan(rep.trend_fit)
+    assert rep.max_tail == [4.0, 0.16]
+    assert classify_decay(rep) is DecayVerdict.DECAYING

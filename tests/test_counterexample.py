@@ -198,3 +198,15 @@ class TestDecayBehaviour:
         prof = rational_point_convergence(double_rule(2.0), 3, 1, 1,
                                           [8, 16, 24, 40], (8192, 8192))
         assert prof.verdict is ConvergenceVerdict.NOT_CONVERGING
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: single_values([3, 0, 5], 2.0), "indices must be >= 1"),
+    (lambda: violation_ratio(0, 4, 2.0), "block indices must be >= 1"),
+    (lambda: violation_ratio(4, 0, 2.0), "block indices must be >= 1"),
+    (lambda: violation_ratio(4, 4, 2.0, norm_exponent=0.0), "norm exponent must be positive"),
+    (lambda: violation_ratio(4, 4, 2.0, norm_exponent=-1.0), "norm exponent must be positive"),
+])
+def test_library_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -550,3 +550,16 @@ class TestIndexBound:
     def test_sweep_refuses_steps_past_the_bound(self, r):
         with pytest.raises(ValueError, match="step r"):
             kernel_bound_sweep(r, 2, 0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: band_index(1.0, 0), "step r must be >= 1"),
+    (lambda: sbp_decompose(geometric_rule(0.5), 5, 4, 1, 1.0), "need m >= n"),
+    (lambda: sbp_decompose(geometric_rule(0.5), 1, 4, 0, 1.0), "step r must be >= 1"),
+    (lambda: partial_sum_bound(geometric_rule(0.5), 5, 4, 1, 1.0), "need N >= n"),
+    (lambda: kernel_bound_sweep(1, 1, 0), "need points >= 2 and k_max >= 0"),
+    (lambda: kernel_bound_sweep(1, 2, -1), "need points >= 2 and k_max >= 0"),
+])
+def test_library_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -10,7 +10,10 @@ from dgmlab.membership import (
     BoundFamily,
     BoundSpec,
     BoundValue,
+    BlockEvidence,
     Verdict,
+    _aggregate,
+    _fit_axis,
     _frontier_sup,
     _row_lhs,
     _window_sums,
@@ -25,20 +28,23 @@ from dgmlab.sequences import (
     SequenceRule,
     geometric_double_rule,
     geometric_rule,
+    p_norm,
     power_rule,
     product_rule,
     rule_from_values,
+    step_diff_values,
     table_rule,
     transpose_rule,
-    window_diff_p_norm,
 )
 import references
 from references import (
     constant_rule,
     direct_col_bound,
     direct_col_lhs,
+    four_call_mixed_diff_values,
     per_window_divisor_embedding_check,
     symmetry_rules,
+    two_call_row_diff_values,
     window_product_max,
     zero_double_rule,
 )
@@ -187,8 +193,9 @@ class TestTransposedColumnForms:
         want = []
         for m, n in blocks:
             col = SequenceRule(lambda ks: c.values(m, ks), real=c.real)
-            want.append((window_diff_p_norm(col, n, n, 1.5, 3),
-                         sum(window_diff_p_norm(col, n + i, n, 1.5, 1) for i in range(3))))
+            want.append((p_norm(step_diff_values(col, np.arange(n, 2 * n), 3), 1.5),
+                         sum(p_norm(step_diff_values(col, np.arange(n + i, 2 * n + i), 1), 1.5)
+                             for i in range(3))))
         assert seen[1::3] == want
 
     def test_truncated_and_inconclusive_bounds(self):
@@ -401,6 +408,15 @@ class TestMembershipScan:
         with pytest.raises(ValueError):
             membership_scan(zero_double_rule(), 1.0, 1, mean_value(), [])
 
+    def test_constant_ratio_axis_has_no_growth(self):
+        pts = [(2**t, 0.75) for t in range(1, 10)]
+        fit = _fit_axis("row", pts)
+        assert fit.correlation == 0.0 and fit.octaves == 8.0 and fit.points == 9
+        evidence = [BlockEvidence(m, 0, "row", 0.75 * 2.0, 2.0, ratio, False) for m, ratio in pts]
+        rep = _aggregate(evidence)
+        assert rep.axis_fits == [fit]
+        assert rep.verdict is Verdict.CONSISTENT and rep.c_estimate == 0.75
+
 
 class TestGmScan:
     def test_zero(self):
@@ -438,6 +454,25 @@ class TestEmbedding:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             embedding_check(zero_double_rule(), 1, 2.0, 1.0, [(1, 1)])
+
+    def test_violations_record_both_exponents(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        c = table_rule(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        blocks, r, p1, p2 = [(1, 2), (3, 3), (4, 2)], 2, 1.0, 2.5
+        monkeypatch.setattr(membership, "_leq", lambda a, b: False)
+        rep = embedding_check(c, r, p1, p2, blocks)
+        assert not rep.ok and rep.checked == 9
+
+        def sides(m, n, p):
+            js, ks = np.arange(m, 2 * m), np.arange(n, 2 * n)
+            return (p_norm(two_call_row_diff_values(c, js, n, r), p),
+                    direct_col_lhs(c, m, n, p, r),
+                    p_norm(four_call_mixed_diff_values(c, js[:, None], ks[None, :], r), p))
+
+        assert [(v.m, v.n, v.axis, v.lhs, v.bound) for v in rep.violations] == [
+            (m, n, axis, small, big)
+            for m, n in blocks
+            for axis, small, big in zip(("row", "col", "mixed"), sides(m, n, p2), sides(m, n, p1))]
 
 
 class TestDivisorEmbedding:
@@ -504,3 +539,42 @@ def test_divisor_embedding_property_random_tables(seed, steps, p):
     c = table_rule(rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))
     rep = divisor_embedding_check(c, p, steps[0], steps[1], [(1, 1), (2, 2), (4, 4)])
     assert rep.ok
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: BoundSpec(BoundFamily.SUP_WINDOW, lam=0), "sup-window requires lam >= 1"),
+    (lambda: max_window(cap=0), "horizon_cap must be in"),
+    (lambda: max_window(cap=(1 << 24) + 1), "horizon_cap must be in"),
+    (lambda: rhs_row_bound(geometric_double_rule(0.5), 4, 0, mean_value()),
+     "fixed index must be >= 1"),
+    (lambda: rhs_row_bound(geometric_double_rule(0.5), 1, 4, max_window()),
+     "max-window family needs block start >= lam=2"),
+    (lambda: rhs_mixed_bound(geometric_double_rule(0.5), 1, 4, mean_value()),
+     "mean-value family needs m, n >= lam=2"),
+    (lambda: rhs_mixed_bound(geometric_double_rule(0.5), 4, 1, mean_value()),
+     "mean-value family needs m, n >= lam=2"),
+    (lambda: rhs_mixed_bound(geometric_double_rule(0.5), 1, 4, max_window()),
+     "max-window family needs m, n >= lam=2"),
+    (lambda: rhs_mixed_bound(geometric_double_rule(0.5), 4, 1, max_window()),
+     "max-window family needs m, n >= lam=2"),
+    (lambda: rhs_mixed_bound(geometric_double_rule(0.5), 1, 4,
+                             BoundSpec(BoundFamily.SUP_WINDOW, lam=2)),
+     "sup-window family needs m, n >= lam=2"),
+    (lambda: rhs_mixed_bound(geometric_double_rule(0.5), 4, 1,
+                             BoundSpec(BoundFamily.SUP_WINDOW, lam=2)),
+     "sup-window family needs m, n >= lam=2"),
+    (lambda: membership_scan(zero_double_rule(), 1.0, 1, mean_value(), []), "must not be empty"),
+    (lambda: membership_scan(zero_double_rule(), 0.0, 1, mean_value(), [(2, 2)]),
+     "need p > 0 and r >= 1"),
+    (lambda: membership_scan(zero_double_rule(), 1.0, 0, mean_value(), [(2, 2)]),
+     "need p > 0 and r >= 1"),
+    (lambda: gm_membership_scan(geometric_rule(0.5), 1.0, 1, mean_value(), []),
+     "must not be empty"),
+    (lambda: gm_membership_scan(geometric_rule(0.5), -1.0, 1, mean_value(), [2]),
+     "need p > 0 and r >= 1"),
+    (lambda: gm_membership_scan(geometric_rule(0.5), 1.0, 0, mean_value(), [2]),
+     "need p > 0 and r >= 1"),
+])
+def test_library_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

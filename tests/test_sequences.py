@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dgmlab.sequences import (
     DoubleSequenceRule,
     SequenceRule,
+    TailEnvelope,
     additive_rule,
     block_p_norm,
     double_block_p_norm,
@@ -23,7 +24,6 @@ from dgmlab.sequences import (
     step_diff_values,
     table_rule,
     transpose_rule,
-    window_diff_p_norm,
 )
 from dgmlab.counterexample import double_rule, single_rule
 from dgmlab.kernels import direct_sine_sum, partial_sum_bound, sbp_decompose
@@ -248,11 +248,6 @@ def test_block_norms_decrease_in_the_exponent(seed, p1, bump, m, r):
     n1 = block_p_norm(seq, m, p1, r)
     n2 = block_p_norm(seq, m, p2, r)
     assert n2 <= n1 * (1 + REL) + ABS
-
-
-def test_window_diff_p_norm_matches_block_on_dyadic_window():
-    seq = rule_from_values(np.random.default_rng(9).normal(size=40))
-    assert close(window_diff_p_norm(seq, 5, 5, 2.0, 1), block_p_norm(seq, 5, 2.0, 1))
 
 
 def test_rule_from_values_zero_outside_support():
@@ -558,3 +553,32 @@ class TestValuesDtype:
         assert [s.real for s in singles] == [True, True, True, True, False, True, False, True]
         assert [c.real for c in doubles] == [True, True, True, False, True, True, False,
                                              True, False, True, False, False, True]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: TailEnvelope(1.0, "exponential", 0.5, 0.5), "unknown envelope kind"),
+    (lambda: TailEnvelope(1.0, "geometric", 1.0, 0.5), r"ratios in \(0, 1\)"),
+    (lambda: TailEnvelope(1.0, "geometric", 0.5, 0.0), r"ratios in \(0, 1\)"),
+    (lambda: double_block_p_norm(geometric_double_rule(0.5), 0, 2, 1.0, 1),
+     "block starts must be >= 1"),
+    (lambda: double_block_p_norm(geometric_double_rule(0.5), 2, 0, 1.0, 1),
+     "block starts must be >= 1"),
+    (lambda: double_block_p_norm(geometric_double_rule(0.5), 2, 2, 0.0, 1), "p must be positive"),
+    (lambda: double_block_p_norm(geometric_double_rule(0.5), 2, 2, 1.0, 0), "step r must be >= 1"),
+    (lambda: table_rule(np.ones(4)), "table must be two-dimensional"),
+    (lambda: geometric_rule(1.0), r"ratio must be in \(0, 1\)"),
+    (lambda: power_rule(0), "exponent must be positive"),
+])
+def test_library_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_lower_rank_values_take_the_broadcast_shape():
+    # fn reads only the row index and returns a (3, 1) column
+    c = DoubleSequenceRule(lambda js, ks: 2.0 * js, real=True)
+    got = c.values(np.arange(1, 4)[:, None], np.arange(1, 6)[None, :])
+    assert got.shape == (3, 5) and got.dtype == np.float64
+    assert np.array_equal(got, np.repeat([[2.0], [4.0], [6.0]], 5, axis=1))
+    got[0, 0] = -1.0  # writable, and not a view sharing one row across columns
+    assert got[0, 1] == 2.0
