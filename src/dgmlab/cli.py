@@ -157,15 +157,18 @@ def _load_table(path: str):
                     continue
                 header, first = first, False
                 try:
-                    j, k = int(row[0]), int(row[1])
+                    j, k = int(row[0]), (int(row[1]) if len(row) > 1 else 0)
                 except ValueError:
                     if header:
                         continue  # the first non-blank row may be a header
                     raise UsageError("table-file", f"row {i + 1}: bad indices") from None
                 if j < 1 or k < 1 or len(row) < 3:
                     raise UsageError("table-file", f"row {i + 1}: need j,k >= 1 and a value")
-                re = float(row[2])
-                im = float(row[3]) if len(row) > 3 and row[3].strip() else 0.0
+                try:
+                    re = float(row[2])
+                    im = float(row[3]) if len(row) > 3 and row[3].strip() else 0.0
+                except ValueError:
+                    raise UsageError("table-file", f"row {i + 1}: bad value") from None
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise UsageError("table-file", f"row {i + 1}: value is not finite")
                 entries.append((j, k, complex(re, im)))
@@ -317,6 +320,7 @@ def _run_embedding(args: argparse.Namespace) -> _Run:
         p = _positive("p", args.p)
         if p < 1:
             raise UsageError("p", "divisor embedding needs p >= 1")
+        r2 = _step("r2", r2)
         if r1 < 1 or r2 % r1 != 0:
             raise UsageError("r1", "r1 must divide r2")
         report = divisor_embedding_check(c, p, r1, r2, blocks)

@@ -43,9 +43,9 @@ EXACT_GENERAL_CAP = 128
 CORNER_TABLE_CAP = 2048
 
 # most abscissas per grid axis, so at most 4096 (x, y) pairs: about 3 MB of
-# per-pair records, and a few minutes at the costliest per-pair paths
-# (about 39 ms a pair on the general exact path at cap 128, 25 ms on the
-# sampled path at cap 2048 for a complex table)
+# per-pair records; on 2 shared vCPUs such a grid took about 100 s on the
+# general exact path at cap 128 (25 ms a pair) and 10-18 s on the sampled
+# path at cap 2048 (a real rule to a complex table)
 GRID_ABSCISSA_LIMIT = 64
 
 
@@ -161,6 +161,14 @@ def _start_maxima(prefix: np.ndarray) -> np.ndarray:
     return np.maximum(smax - starts, starts - smin)
 
 
+def _suffix_ranges(h: np.ndarray) -> np.ndarray:
+    """ranges[..., i] = max(h[..., i:]) - min(h[..., i:]) for every i but the
+    last: the widest |h[N] - h[n-1]| over i < n <= N, bit for bit since
+    rounding is monotone, and +0 where every such difference is a zero.
+    NaN wherever h[..., i:] holds a NaN."""
+    return (_suffix_max(h) + _suffix_max(-h))[..., :-1]
+
+
 def frontier_product_max(a: np.ndarray, b: np.ndarray,
                          sums: Sequence[int]) -> list[tuple[float, int, int]]:
     """Per sum s, the max of ``a[i-1] * b[j-1]`` over ``i + j >= s``.
@@ -264,7 +272,7 @@ def _general_scan(tables: np.ndarray,
         # row i of a point: prefix sums along k of the strip of rows m..M, M = m + i
         h = np.zeros((count, cap_m - m + 1, cap_n + 1))
         np.cumsum(col_prefix[:, m:] - col_prefix[:, m - 1:m], axis=2, out=h[:, :, 1:])
-        sw = _suffix_max(_start_maxima(h))
+        sw = _suffix_ranges(h)
         for ti, t in enumerate(thresholds):
             a = max(1, t + 1 - m)
             if a > cap_n:
@@ -310,11 +318,13 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
                         caps: tuple[int, int]) -> list[list[tuple[float, int, int]]]:
     """Lower-bound sampling over log-spaced rectangle corners.
 
-    One sweep over the rows, ``_BATCH_ENTRIES // cap_n`` per rule
-    evaluation, per batch of points (at most ``_BATCH_ENTRIES`` entries in
-    each sine stack and in the corner prefix sums) folds each row into one running row of column prefix sums per point,
-    and keeps the prefix sums along k of the ladder rows at the ladder
-    columns only."""
+    One sweep over the rows per batch of points, ``_BATCH_ENTRIES // cap_n``
+    rows per rule evaluation.  Each row is folded into one running row of
+    column sums per distinct x of the batch, sum_{j<=i} c_jk sin(jx); at the
+    ladder rows each point multiplies its x's running row by sin(ky) and
+    keeps the prefix sums along k at the ladder columns only.  The running
+    rows, the y sines, each point's projection and the corner prefix sums of
+    a batch hold at most ``_BATCH_ENTRIES`` entries each."""
     cap_m = min(caps[0], CORNER_TABLE_CAP)
     cap_n = min(caps[1], CORNER_TABLE_CAP)
     js = np.arange(1, cap_m + 1)
@@ -328,35 +338,39 @@ def _point_sups_sampled(c: DoubleSequenceRule, points: Sequence[tuple[float, flo
     # the ladder corners are read; row 0 and column 0 are zero
     rows = np.union1d(lad_m, lad_m - 1)
     cols = np.union1d(lad_n, lad_n - 1)
-    hi, lo = np.searchsorted(rows, lad_m[iM])[:, None], np.searchsorted(rows, am - 1)[:, None]
-    hi_n, lo_n = np.searchsorted(cols, lad_n[iN])[None, :], np.searchsorted(cols, an - 1)[None, :]
+    hi, lo = np.searchsorted(rows, lad_m[iM]), np.searchsorted(rows, am - 1)
+    hi_n, lo_n = np.searchsorted(cols, lad_n[iN]), np.searchsorted(cols, an - 1)
     dtype = float if c.real else complex
     per_eval = max(1, _BATCH_ENTRIES // cap_n)
     per_batch = max(1, _BATCH_ENTRIES // max(cap_m, cap_n, rows.size * cols.size))
     # row 0 and column 0 are never written, so one stack serves every batch
     pref = np.zeros((min(per_batch, len(points)), rows.size, cols.size), dtype=dtype)
+    proj = np.empty((pref.shape[0], cap_n), dtype=dtype)
     results = []
     for p0 in range(0, len(points), per_batch):
         batch = points[p0:p0 + per_batch]
-        sx = np.stack([np.sin(js * x) for x, _ in batch], axis=1)
+        xs, xi = _distinct([x for x, _ in batch])
+        sx = np.stack([np.sin(js * x) for x in xs.tolist()], axis=1)
         sy = np.stack([np.sin(ks * y) for _, y in batch])
-        # acc: the running column prefix sums, one row per point; the terms
-        # and sums of the full table's row-by-row prefix, bit for bit but
-        # for the sign of a zero, which the rectangles' |.| drops
-        sines = np.empty(sy.shape)
-        acc = np.zeros(sy.shape, dtype=dtype)
-        term = sines if c.real else np.empty(sy.shape, dtype=dtype)
+        # acc: per distinct x, the running column sums of c_jk sin(jx); the
+        # sums of the row-by-row prefix, bit for bit but for the sign of a
+        # zero, which the rectangles' |.| drops
+        acc = np.zeros((xs.size, cap_n), dtype=dtype)
+        term = np.empty(acc.shape, dtype=dtype)
+        here = proj[:len(batch)]
         r = 1  # rows[r]: the next prefix row to keep
         for i0 in range(0, cap_m, per_eval):
             for i, row in enumerate(c.values(js[i0:i0 + per_eval, None], ks[None, :]), i0 + 1):
-                np.multiply(sx[i - 1][:, None], sy, out=sines)
-                np.add(acc, np.multiply(row, sines, out=term), out=acc)
+                np.add(acc, np.multiply(row, sx[i - 1][:, None], out=term), out=acc)
                 if i == rows[r]:
-                    pref[:len(batch), r, 1:] = np.cumsum(acc, axis=1)[:, cols[1:] - 1]
+                    np.take(acc, xi, axis=0, out=here)
+                    np.multiply(here, sy, out=here)
+                    np.cumsum(here, axis=1, out=here)
+                    pref[:len(batch), r, 1:] = here[:, cols[1:] - 1]
                     r += 1
         for p in range(len(batch)):
-            pp = pref[p]
-            rect = np.abs(pp[hi, hi_n] - pp[lo, hi_n] - pp[hi, lo_n] + pp[lo, lo_n])
+            top, bot = pref[p, hi], pref[p, lo]
+            rect = np.abs(top[:, hi_n] - bot[:, hi_n] - top[:, lo_n] + bot[:, lo_n])
             out = []
             for t in thresholds:
                 masked = np.where(sums > t, rect, -np.inf)

@@ -19,10 +19,13 @@ These must equal their replacements bit for bit (``==``):
 * ``per_row_write_csv``, which formatted and wrote one row at a time
   where ``write_csv`` now formats a batch of rows of one type at once.
 * The per-point remainder paths that the batched ones replaced:
-  ``per_point_sampled_sups`` built the whole table and one product table
-  per point, ``per_pair_product_sups`` computed both axes' start maxima
-  for every pair, and ``one_table_general_scan`` scanned one point's
-  table at a time.
+  ``per_point_sampled_sups`` built the whole table per point, folded the
+  rows of c_jk sin(jx) and multiplied them by sin(ky) after,
+  ``per_pair_product_sups`` computed both axes' start maxima for every
+  pair, and ``one_table_general_scan`` scanned one point's table at a
+  time.
+* ``suffix_start_maxima``, the general scan's widest strip sums from each
+  start on, where the scan now reads the range of each suffix.
 * The difference operators that evaluated the rule once per operand:
   ``two_call_step_diff_values``, ``two_call_row_diff_values`` and
   ``four_call_mixed_diff_values``, where the library now evaluates one
@@ -55,6 +58,8 @@ These must agree with their replacements to a relative 1e-12:
 * The per-anchor tail loops ``loop_mixed_diff_tail``, ``loop_row_tail``
   and ``loop_row_diff_tail``.  The batched tails fold each row once, from
   row H down, so they add the same terms in another order.
+* ``pair_term_sampled_sups``, the sampled path that summed the terms
+  c_jk * (sin(jx) * sin(ky)), where it now sums (sum_j c_jk sin(jx)) * sin(ky).
 """
 
 import functools
@@ -408,9 +413,10 @@ def four_call_partial_sum_bound(seq, n, N, r, x):
     return PartialSumBound(pref * term_sum, pref, stated, term_sum, l, half)
 
 
-def per_point_sampled_sups(c, points, thresholds, caps):
-    """The sampled remainder path with the whole rule table and one product
-    table per point."""
+def _whole_table_sampled_sups(c, points, thresholds, caps, prefix_rows):
+    """The sampled remainder path with the whole rule table, where
+    ``prefix_rows(vals, sx, sy, rows)`` gives one point's prefix sums along
+    k of the row-prefix rows ``rows`` (1-based), from its sines along j and k."""
     cap_m = min(caps[0], CORNER_TABLE_CAP)
     cap_n = min(caps[1], CORNER_TABLE_CAP)
     js = np.arange(1, cap_m + 1)
@@ -433,11 +439,9 @@ def per_point_sampled_sups(c, points, thresholds, caps):
     hi, lo = at[aM][:, None], at[am - 1][:, None]
     results = []
     for x, y in points:
-        table = vals * np.outer(np.sin(js * x), np.sin(ks * y))
-        for i in range(1, cap_m):
-            np.add(table[i - 1], table[i], out=table[i])
-        pref = np.zeros((rows.size + 1, cap_n + 1), dtype=table.dtype)
-        np.cumsum(table[rows - 1], axis=1, out=pref[1:, 1:])
+        kept = prefix_rows(vals, np.sin(js * x), np.sin(ks * y), rows)
+        pref = np.zeros((rows.size + 1, cap_n + 1), dtype=kept.dtype)
+        pref[1:, 1:] = kept
         rect = np.abs(pref[hi, aN[None, :]] - pref[lo, aN[None, :]]
                       - pref[hi, an[None, :] - 1] + pref[lo, an[None, :] - 1])
         out = []
@@ -450,6 +454,37 @@ def per_point_sampled_sups(c, points, thresholds, caps):
                 out.append((float(masked[i, j]), int(am[i]), int(an[j])))
         results.append(out)
     return results
+
+
+def _row_prefix(table):
+    """The prefix sums along j of ``table``, one row added at a time."""
+    for i in range(1, table.shape[0]):
+        np.add(table[i - 1], table[i], out=table[i])
+    return table
+
+
+def per_point_sampled_sups(c, points, thresholds, caps):
+    """The sampled remainder path with the whole rule table: per point, the
+    row prefix of c_jk * sin(jx), times sin(ky), then the prefix along k."""
+    def prefix_rows(vals, sx, sy, rows):
+        return np.cumsum(_row_prefix(vals * sx[:, None])[rows - 1] * sy, axis=1)
+
+    return _whole_table_sampled_sups(c, points, thresholds, caps, prefix_rows)
+
+
+def pair_term_sampled_sups(c, points, thresholds, caps):
+    """The sampled remainder path that summed the terms
+    c_jk * (sin(jx) * sin(ky)): the row prefix of one product table per
+    point, then the prefix along k."""
+    def prefix_rows(vals, sx, sy, rows):
+        return np.cumsum(_row_prefix(vals * np.outer(sx, sy))[rows - 1], axis=1)
+
+    return _whole_table_sampled_sups(c, points, thresholds, caps, prefix_rows)
+
+
+def suffix_start_maxima(h):
+    """sw[..., a-1] = max over a <= n <= N of |h[..., N] - h[..., n-1]|."""
+    return _suffix_max(_start_maxima(h))
 
 
 def per_pair_product_sups(c, points, thresholds, caps):
@@ -476,7 +511,7 @@ def one_table_general_scan(table, thresholds):
     for m in range(1, cap_m + 1):
         h = np.zeros((cap_m - m + 1, cap_n + 1))
         np.cumsum(col_prefix[m:] - col_prefix[m - 1], axis=1, out=h[:, 1:])
-        sw = _suffix_max(_start_maxima(h))
+        sw = suffix_start_maxima(h)
         for ti, t in enumerate(thresholds):
             a = max(1, t + 1 - m)
             if a > cap_n:

@@ -379,6 +379,18 @@ class TestTableInput:
         assert run(tmp_path, "membership", "--seq", "table", "--table-file", str(path)) == 3
         assert capsys.readouterr().err == f"error: field 'table-file': row {row}: bad indices\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("1\n", "row 1: need j,k >= 1 and a value"),
+        ("1,1,0.5\n\n2\n", "row 3: need j,k >= 1 and a value"),
+        ("1,1,abc\n", "row 1: bad value"),
+        ("j,k,re\n1,1,0.5\n1,2,0.25,abc\n", "row 3: bad value"),
+    ])
+    def test_short_rows_and_bad_values_name_their_row(self, tmp_path, capsys, text, message):
+        path = tmp_path / "odd.csv"
+        path.write_text(text)
+        assert run(tmp_path, "membership", "--seq", "table", "--table-file", str(path)) == 3
+        assert capsys.readouterr().err == f"error: field 'table-file': {message}\n"
+
     def test_non_finite_values_rejected(self, tmp_path, capsys):
         for value in ("nan", "inf", "0.25,-inf"):
             path = tmp_path / "odd.csv"
@@ -544,6 +556,9 @@ class TestBoundedInputs:
         "late-index.csv": "1,1,0.5\nx,2,0.25\n",
         "no-entries.csv": "j,k,re\n\n",
         "wide.csv": "1,1,0.5\n2048,2049,0.25\n",  # a support box past 2^22 entries
+        "one-field.csv": "1\n",
+        "bad-value.csv": "1,1,abc\n",
+        "bad-imag.csv": "1,1,1,abc\n",
     }
 
     @pytest.mark.parametrize("argv, field", [
@@ -568,6 +583,8 @@ class TestBoundedInputs:
           "--thresholds", "100", "--cap", "50"], "at-rational"),
         (["embedding", "--seq", "geometric", "--p1", "2", "--p2", "1"], "p1"),
         (["embedding", "--seq", "geometric", "--r1", "2", "--r2", "3"], "r1"),
+        (["embedding", "--seq", "geometric", "--r1", "1", "--r2", "0"], "r2"),
+        (["embedding", "--seq", "geometric", "--r1", "1", "--r2", "-2"], "r2"),
         (["embedding", "--seq", "geometric", "--p", "0.5", "--r1", "1", "--r2", "2"], "p"),
         (["sbp", "--seq", "geometric", "--start", "5", "--end", "4"], "end"),
         (["counterexample", "certify", "--n-max", "-1"], "n-max"),
@@ -582,6 +599,9 @@ class TestBoundedInputs:
         (["membership", "--seq", "table", "--table-file", "late-index.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "no-entries.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "wide.csv"], "table-file"),
+        (["membership", "--seq", "table", "--table-file", "one-field.csv"], "table-file"),
+        (["membership", "--seq", "table", "--table-file", "bad-value.csv"], "table-file"),
+        (["membership", "--seq", "table", "--table-file", "bad-imag.csv"], "table-file"),
         (["sbp", "--seq", "separable"], "seq"),
         (["membership", "--family", "mean-value", "--lambda", "1"], "lambda"),
     ])

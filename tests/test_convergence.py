@@ -21,7 +21,9 @@ from dgmlab.convergence import (
     _general_scan,
     _point_sups,
     _point_sups_product,
+    _convergence_verdict,
     _start_maxima,
+    _suffix_ranges,
     classify_decay,
     decay_report,
     frontier_product_max,
@@ -51,16 +53,19 @@ from dgmlab.sequences import (
     transpose_rule,
 )
 from references import (
+    assert_bits_equal,
     decay_dispatch,
     double_partial_sum,
     loop_mixed_diff_tail,
     loop_row_diff_tail,
     loop_row_tail,
+    pair_term_sampled_sups,
     per_pair_product_sups,
     per_point_general_sups,
     per_point_sampled_sups,
     profile_product_max,
     scalar_eval,
+    suffix_start_maxima,
     window_product_max,
     zero_double_rule,
 )
@@ -215,13 +220,14 @@ def loop_general_scan(table, thresholds):
 
 def full_prefix_sampled_sups(c, x, y, thresholds, caps):
     """The sampled path with the whole complex prefix table: the reference
-    for its float shortcut and its ladder-row prefix."""
+    for its float shortcut and its ladder-row prefix.  The prefix along j of
+    c_jk sin(jx), times sin(ky), then the prefix along k."""
     cap_m, cap_n = caps
     js = np.arange(1, cap_m + 1)
     ks = np.arange(1, cap_n + 1)
-    table = c.values(js[:, None], ks[None, :]) * np.outer(np.sin(js * x), np.sin(ks * y))
+    table = c.values(js[:, None], ks[None, :]) * np.sin(js * x)[:, None]
     pref = np.zeros((cap_m + 1, cap_n + 1), dtype=complex)
-    np.cumsum(np.cumsum(table, axis=0), axis=1, out=pref[1:, 1:])
+    np.cumsum(np.cumsum(table, axis=0) * np.sin(ks * y), axis=1, out=pref[1:, 1:])
     lad_m, lad_n = _corner_ladder(cap_m), _corner_ladder(cap_n)
     am, aM = np.array([(m, M) for m in lad_m for M in lad_m if M >= m]).T
     an, aN = np.array([(n, N) for n in lad_n for N in lad_n if N >= n]).T
@@ -338,6 +344,37 @@ class TestPointSups:
         got, _ = point_sups(c, 0.9, 1.4, [1, 4, 8], (7, 7))
         want = loop_general_sups(c, 0.9, 1.4, [1, 4, 8], (7, 7))
         assert np.array_equal(np.array(got), np.array(want), equal_nan=True)
+
+    def test_suffix_ranges_are_the_suffix_start_maxima(self):
+        """The range of each suffix equals the widest strip sum from each
+        start on, bit for bit but for the sign of a zero, which the range
+        always reads as +0: on random, tied, integer-valued, signed-zero
+        and NaN-holding rows, and the prefix rows the general scan builds
+        (+0 first, then prefix sums)."""
+        rng = np.random.default_rng(26)
+
+        def prefix(strips):
+            h = np.zeros(strips.shape[:-1] + (strips.shape[-1] + 1,))
+            np.cumsum(strips, axis=-1, out=h[..., 1:])
+            return h
+
+        zeros = np.where(rng.integers(0, 2, size=(8, 5)) == 1, 0.0, -0.0)
+        rows = [rng.normal(size=(3, 5, 17)),
+                prefix(rng.normal(size=(3, 5, 16))),
+                prefix(rng.integers(-1, 2, size=(4, 9)).astype(float)),
+                prefix(rng.integers(-3, 4, size=(6, 12)).astype(float)),
+                np.repeat(rng.normal(size=(2, 1)), 7, axis=1),
+                zeros, prefix(zeros)]
+        for nan_at in ((0, 0), (2, 5), (4, 11), (1, 3)):
+            h = prefix(rng.normal(size=(5, 11)))
+            h[nan_at] = np.nan
+            rows.append(h)
+        for h in rows:
+            with np.errstate(invalid="ignore"):
+                want = suffix_start_maxima(h)
+            assert_bits_equal(_suffix_ranges(h), np.where(want == 0, 0.0, want))
+        # the start maxima of signed zeros read -0 in places
+        assert np.signbit(suffix_start_maxima(prefix(zeros))).any()
 
     def test_sampled_float_shortcut_is_exact(self):
         """A real rule past the exact cap gives the same sampled sups and
@@ -534,6 +571,22 @@ class TestBatchedRemainderPaths:
                 got, _ = _point_sups(c, points[:2], ts, caps)
                 assert got == [full_prefix_sampled_sups(c, x, y, ts, caps)
                                for x, y in points[:2]], name
+
+    def test_sampled_path_near_the_pair_terms(self):
+        """Summing (sum_j c_jk sin(jx)) sin(ky) in place of the pair terms
+        c_jk (sin(jx) sin(ky)) moves a sup in its last bits: to a relative
+        1e-12, with the same verdict over the points.  A NaN rule reads
+        (0.0, 0, 0) on both sides and is left to the tests above."""
+        ts, cases = self.expected("sampled")
+        for name, c, caps, points, want in cases:
+            if "nan" in name:
+                continue
+            old = pair_term_sampled_sups(c, points, ts, caps)
+            got = [[sup for sup, _, _ in row] for row in want]
+            ref = [[sup for sup, _, _ in row] for row in old]
+            assert all(all_close(g, r) for g, r in zip(got, ref)), name
+            assert (_convergence_verdict(np.max(got, axis=0).tolist(), False)
+                    is _convergence_verdict(np.max(ref, axis=0).tolist(), False)), name
 
     @pytest.mark.parametrize("value", [1, 7, None], ids=["1", "7", "default"])
     def test_sampled_path_past_the_table_cap(self, monkeypatch, value):
