@@ -583,8 +583,6 @@ class TestBoundedInputs:
           "--thresholds", "100", "--cap", "50"], "at-rational"),
         (["embedding", "--seq", "geometric", "--p1", "2", "--p2", "1"], "p1"),
         (["embedding", "--seq", "geometric", "--r1", "2", "--r2", "3"], "r1"),
-        (["embedding", "--seq", "geometric", "--r1", "1", "--r2", "0"], "r2"),
-        (["embedding", "--seq", "geometric", "--r1", "1", "--r2", "-2"], "r2"),
         (["embedding", "--seq", "geometric", "--p", "0.5", "--r1", "1", "--r2", "2"], "p"),
         (["sbp", "--seq", "geometric", "--start", "5", "--end", "4"], "end"),
         (["counterexample", "certify", "--n-max", "-1"], "n-max"),
@@ -599,11 +597,13 @@ class TestBoundedInputs:
         (["membership", "--seq", "table", "--table-file", "late-index.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "no-entries.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "wide.csv"], "table-file"),
+        (["sbp", "--seq", "separable"], "seq"),
+        (["membership", "--family", "mean-value", "--lambda", "1"], "lambda"),
+        (["embedding", "--seq", "geometric", "--r1", "1", "--r2", "0"], "r2"),
+        (["embedding", "--seq", "geometric", "--r1", "1", "--r2", "-2"], "r2"),
         (["membership", "--seq", "table", "--table-file", "one-field.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "bad-value.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "bad-imag.csv"], "table-file"),
-        (["sbp", "--seq", "separable"], "seq"),
-        (["membership", "--family", "mean-value", "--lambda", "1"], "lambda"),
     ])
     def test_refused_fast(self, tmp_path, capsys, monkeypatch, argv, field):
         # the table files above, named relative to the working directory
