@@ -11,6 +11,10 @@ every CLI subcommand compile only the modules they run.
 """
 
 import importlib
+import os
+
+# dgmlab makes no BLAS call that gains from threads; an idle OpenBLAS worker only spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # module -> the public names it defines
 _EXPORTS = {

@@ -3,6 +3,8 @@
 Every CLI process compiles the modules it imports, so a subcommand should
 load only the modules it runs.  The package exports its public names
 lazily: each binds the same object as the module that defines it.
+Importing the package pins OpenBLAS to one thread before numpy loads,
+unless the caller set the thread count already.
 """
 
 import importlib
@@ -58,15 +60,28 @@ EXPORTS = {
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
+# the variables a pthreads OpenBLAS reads its thread count from
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_json(source: str, expr: str, **env: str):
+    """``expr`` as a fresh interpreter reads it after running ``source``.
+
+    The child gets ``env`` on top of this environment, less the BLAS
+    thread-count variables that ``env`` does not set.
+    """
+    probe = f"{source}\nimport json, sys\nprint(json.dumps({expr}))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**child, **env, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def loaded_after(source: str) -> set[str]:
     """The dgmlab modules a fresh interpreter holds after running ``source``."""
-    probe = (f"{source}\nimport json, sys\n"
-             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'dgmlab']))")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(fresh_json(source, "[m for m in sys.modules if m.split('.')[0] == 'dgmlab']"))
 
 
 def cli_run(tmp_path, *argv) -> str:
@@ -92,6 +107,25 @@ class TestImportGraph:
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, extra):
         assert loaded_after(cli_run(tmp_path, *argv)) == CLI_MODULES | extra
+
+
+THREADS = ("[int(line.split()[1]) for line in open('/proc/self/status')"
+           " if line.startswith('Threads:')][0]")
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="no /proc/self/status to read a thread count from")
+    def test_cli_process_runs_one_thread(self):
+        assert fresh_json("import dgmlab.cli", THREADS) == 1
+
+    def test_callers_thread_count_wins(self):
+        expr = "os.environ['OPENBLAS_NUM_THREADS']"
+        assert fresh_json("import os, dgmlab.cli", expr, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_pin_runs_before_numpy_loads(self):
+        assert fresh_json("import dgmlab", "'numpy' in sys.modules") is False
+        assert fresh_json("import os, dgmlab", "os.environ['OPENBLAS_NUM_THREADS']") == "1"
 
 
 class TestLazyExports:
