@@ -4,7 +4,8 @@ monotone coefficient classes.
 Provides difference operators and block p-norms over sequence rules,
 scanners for the windowed variation class bounds, Dirichlet-type kernels
 with step-r summation by parts, regular-convergence remainder profiling,
-and the explicit divergence example with its certificate.
+decay and tail checks, and the explicit divergence example with its
+certificate.
 
 Each public name loads its module on first use, so ``import dgmlab`` and
 every CLI subcommand compile only the modules they run.
@@ -19,25 +20,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # module -> the public names it defines
 _EXPORTS = {
     "convergence": (
-        "DECAY_CONDITIONS",
         "GRID_ABSCISSA_LIMIT",
-        "TAIL_HORIZON_LIMIT",
         "ConvergenceVerdict",
-        "DecayReport",
-        "DecayVerdict",
         "GridSpec",
         "RemainderProfile",
-        "TailEstimate",
-        "classify_decay",
-        "decay_report",
         "grid_points",
         "grid_size_bound",
-        "log_integral_bound",
-        "mixed_diff_tails",
         "rational_point_convergence",
         "regular_remainder_sup",
-        "row_diff_tail_sups",
-        "row_tail_sups",
     ),
     "counterexample": (
         "DivergenceCertificate",
@@ -45,6 +35,19 @@ _EXPORTS = {
         "double_rule",
         "single_rule",
         "violation_ratio",
+    ),
+    "decay": (
+        "DECAY_CONDITIONS",
+        "TAIL_HORIZON_LIMIT",
+        "DecayReport",
+        "DecayVerdict",
+        "TailEstimate",
+        "classify_decay",
+        "decay_report",
+        "log_integral_bound",
+        "mixed_diff_tails",
+        "row_diff_tail_sups",
+        "row_tail_sups",
     ),
     "kernels": (
         "PartialSumBound",

@@ -19,7 +19,6 @@ command-line flags.  Config values are typed and checked like flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import fields
@@ -28,20 +27,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .convergence import (
-    DECAY_CONDITIONS,
-    GRID_ABSCISSA_LIMIT,
-    TAIL_HORIZON_LIMIT,
-    DecaySample,
-    GridSpec,
-    ProfileEntry,
-    classify_decay,
-    decay_report,
-    grid_size_bound,
-    log_integral_bound,
-    rational_point_convergence,
-    regular_remainder_sup,
-)
 from .output import write_csv, write_polyline_svg
 from .sequences import (
     HORIZON_LIMIT,
@@ -53,8 +38,8 @@ from .sequences import (
     table_rule,
 )
 
-# membership, kernels and counterexample are imported by the handlers that run
-# them, so each subcommand loads only the modules it uses.
+# convergence, decay, membership, kernels and counterexample are imported by
+# the handlers that run them, so each subcommand loads only the modules it uses.
 if TYPE_CHECKING:
     from .membership import BoundSpec
 
@@ -112,6 +97,15 @@ def _cap(name: str, value: int, low: int = 1, high: int = HORIZON_LIMIT) -> int:
     return value
 
 
+def _thresholds(ts: list[int], positive: bool = False) -> list[int]:
+    """Strictly increasing thresholds, all of them positive if ``positive``."""
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise UsageError("thresholds", "must be strictly increasing")
+    if positive and ts[0] < 1:
+        raise UsageError("thresholds", "must be positive")
+    return ts
+
+
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
@@ -148,6 +142,7 @@ def _block_pairs(text: str) -> list[tuple[int, int]]:
 
 def _load_table(path: str):
     """CSV rows (j, k, re[, im]) with implicit zeros elsewhere."""
+    import csv
     entries = []
     first = True
     try:
@@ -373,9 +368,14 @@ def _run_kernel_bound(args: argparse.Namespace) -> _Run:
 
 
 def _run_converge(args: argparse.Namespace) -> _Run:
+    from .convergence import (GRID_ABSCISSA_LIMIT, GridSpec, ProfileEntry, grid_size_bound,
+                              rational_point_convergence, regular_remainder_sup)
     c = _double_rule(args)
-    thresholds = args.thresholds
     cap = _cap("cap", args.cap)
+    thresholds = _thresholds(args.thresholds, positive=True)
+    if cap < thresholds[-1]:
+        raise UsageError("cap", f"must be at least the largest threshold {thresholds[-1]}, "
+                                f"got {cap}")
     caps = (cap, cap)
     gr = _step("grid-r", args.r if args.grid_r is None else args.grid_r)
     if args.at_rational:
@@ -410,6 +410,7 @@ def _run_converge(args: argparse.Namespace) -> _Run:
 
 
 def _run_decay(args: argparse.Namespace) -> _Run:
+    from .decay import TAIL_HORIZON_LIMIT, DecaySample, classify_decay, decay_report
     c = _double_rule(args)
     condition = args.condition
     tail = condition.endswith("tail")  # only the tail conditions read p and r
@@ -419,7 +420,7 @@ def _run_decay(args: argparse.Namespace) -> _Run:
         if not p >= 1:  # also refuses NaN
             raise UsageError("p", "need p >= 1")
         r = _step("r", r)
-    report = decay_report(c, condition, args.thresholds, horizon, p, r)
+    report = decay_report(c, condition, _thresholds(args.thresholds), horizon, p, r)
     verdict = classify_decay(report)
     tails = " ".join(f"{t:.4g}" for t in report.max_tail)
     return _Run(f"decay ({condition}): {verdict.value} max_tail=[{tails}] "
@@ -432,6 +433,7 @@ def _run_decay(args: argparse.Namespace) -> _Run:
 
 
 def _run_log_integral(args: argparse.Namespace) -> _Run:
+    from .decay import log_integral_bound
     n = _step("n", args.n)
     N = _step("N", args.N)
     p = args.p
@@ -508,96 +510,115 @@ def _add_blocks(sp):
     sp.add_argument("--fixed-m", type=int, help="fix m across the octaves")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> its help line, in the order that --help lists them
+_COMMANDS = {
+    "membership": "class membership scan",
+    "embedding": "p-norm or step embedding check",
+    "sbp": "summation-by-parts decomposition",
+    "kernel-bound": "half-band kernel bound sweep",
+    "converge": "regular-convergence remainder profile",
+    "decay": "decay/tail condition report",
+    "log-integral": "log-integral inequality value",
+    "counterexample": "sharpness example tools",
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each is registered with its name and
+    help; if ``only`` names one, only that one gets its arguments."""
     ap = _Parser(prog="dgmlab", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
+    every = only not in _COMMANDS
 
-    def command(name, help, handler):
-        sp = sub.add_parser(name, help=help,
+    def command(name, handler):
+        sp = sub.add_parser(name, help=_COMMANDS[name],
                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if not (every or name == only):
+            return None
         sp.set_defaults(handler=handler, parser=sp)
         sp.add_argument("--config", help="flat key = value file; flags win over it")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--no-plot", action="store_true", help="skip the SVG plot")
         return sp
 
-    sp = command("membership", "class membership scan", _run_membership)
-    _add_seq_flags(sp)
-    sp.add_argument("--p", type=float, default=1.0, help="norm exponent")
-    sp.add_argument("--r", type=int, default=1, help="difference step")
-    sp.add_argument("--family", choices=_FAMILIES, default="max-window",
-                    help="right-hand-side bound family")
-    sp.add_argument("--lambda", dest="lam", type=int, default=2, help="window factor")
-    sp.add_argument("--cap", type=int, default=1 << 15, help="horizon cap of sup searches")
-    _add_blocks(sp)
-    sp.add_argument("--single", action="store_true", help="scan a single sequence")
+    if sp := command("membership", _run_membership):
+        _add_seq_flags(sp)
+        sp.add_argument("--p", type=float, default=1.0, help="norm exponent")
+        sp.add_argument("--r", type=int, default=1, help="difference step")
+        sp.add_argument("--family", choices=_FAMILIES, default="max-window",
+                        help="right-hand-side bound family")
+        sp.add_argument("--lambda", dest="lam", type=int, default=2, help="window factor")
+        sp.add_argument("--cap", type=int, default=1 << 15, help="horizon cap of sup searches")
+        _add_blocks(sp)
+        sp.add_argument("--single", action="store_true", help="scan a single sequence")
 
-    sp = command("embedding", "p-norm or step embedding check", _run_embedding)
-    _add_seq_flags(sp)
-    sp.add_argument("--p", type=float, default=1.0, help="norm exponent of the step mode")
-    sp.add_argument("--p1", type=float, help="smaller norm exponent of the p-norm mode")
-    sp.add_argument("--p2", type=float, help="larger norm exponent of the p-norm mode")
-    sp.add_argument("--r", type=int, default=1, help="difference step of the p-norm mode")
-    sp.add_argument("--r1", type=int, help="smaller step of the step mode")
-    sp.add_argument("--r2", type=int, help="larger step, a multiple of r1")
-    _add_blocks(sp)
+    if sp := command("embedding", _run_embedding):
+        _add_seq_flags(sp)
+        sp.add_argument("--p", type=float, default=1.0, help="norm exponent of the step mode")
+        sp.add_argument("--p1", type=float, help="smaller norm exponent of the p-norm mode")
+        sp.add_argument("--p2", type=float, help="larger norm exponent of the p-norm mode")
+        sp.add_argument("--r", type=int, default=1, help="difference step of the p-norm mode")
+        sp.add_argument("--r1", type=int, help="smaller step of the step mode")
+        sp.add_argument("--r2", type=int, help="larger step, a multiple of r1")
+        _add_blocks(sp)
 
-    sp = command("sbp", "summation-by-parts decomposition", _run_sbp)
-    _add_seq_flags(sp)
-    sp.add_argument("--start", type=int, default=1, help="first index n")
-    sp.add_argument("--end", type=int, default=50, help="last index m")
-    sp.add_argument("--r", type=int, default=1, help="difference step")
-    sp.add_argument("--x", type=float, default=1.0, help="abscissa")
+    if sp := command("sbp", _run_sbp):
+        _add_seq_flags(sp)
+        sp.add_argument("--start", type=int, default=1, help="first index n")
+        sp.add_argument("--end", type=int, default=50, help="last index m")
+        sp.add_argument("--r", type=int, default=1, help="difference step")
+        sp.add_argument("--x", type=float, default=1.0, help="abscissa")
 
-    sp = command("kernel-bound", "half-band kernel bound sweep", _run_kernel_bound)
-    sp.add_argument("--r", type=int, default=1, help="difference step")
-    sp.add_argument("--points", type=int, default=1000, help="abscissas per half-band")
-    sp.add_argument("--k-max", type=int, default=100, help="largest kernel index")
+    if sp := command("kernel-bound", _run_kernel_bound):
+        sp.add_argument("--r", type=int, default=1, help="difference step")
+        sp.add_argument("--points", type=int, default=1000, help="abscissas per half-band")
+        sp.add_argument("--k-max", type=int, default=100, help="largest kernel index")
 
-    sp = command("converge", "regular-convergence remainder profile", _run_converge)
-    _add_seq_flags(sp, seq_p=None)
-    sp.add_argument("--p", type=float, default=2.0,
-                    help="construction exponent when --seq-p is not given")
-    sp.add_argument("--r", type=int, default=3, help="grid step when no grid option gives one")
-    sp.add_argument("--grid", help="compact r=3,points=2,exclusion=1e-6; "
-                                   "the long grid options win over its keys")
-    sp.add_argument("--grid-r", type=int, help="grid step")
-    sp.add_argument("--points-per-band", type=int, default=2, help="grid points per band")
-    sp.add_argument("--exclusion", type=float, default=1e-6,
-                    help="exclusion radius around singular abscissas")
-    sp.add_argument("--thresholds", type=_int_list, default="8,16,24,40",
-                    help="remainder thresholds")
-    sp.add_argument("--cap", type=int, default=8192, help="partial-sum cap per axis")
-    sp.add_argument("--at-rational", type=_int_pair,
-                    help="profile the rational point L1,L2 of step grid-r instead")
+    if sp := command("converge", _run_converge):
+        _add_seq_flags(sp, seq_p=None)
+        sp.add_argument("--p", type=float, default=2.0,
+                        help="construction exponent when --seq-p is not given")
+        sp.add_argument("--r", type=int, default=3, help="grid step when no grid option gives one")
+        sp.add_argument("--grid", help="compact r=3,points=2,exclusion=1e-6; "
+                                       "the long grid options win over its keys")
+        sp.add_argument("--grid-r", type=int, help="grid step")
+        sp.add_argument("--points-per-band", type=int, default=2, help="grid points per band")
+        sp.add_argument("--exclusion", type=float, default=1e-6,
+                        help="exclusion radius around singular abscissas")
+        sp.add_argument("--thresholds", type=_int_list, default="8,16,24,40",
+                        help="remainder thresholds")
+        sp.add_argument("--cap", type=int, default=8192, help="partial-sum cap per axis")
+        sp.add_argument("--at-rational", type=_int_pair,
+                        help="profile the rational point L1,L2 of step grid-r instead")
 
-    sp = command("decay", "decay/tail condition report", _run_decay)
-    _add_seq_flags(sp)
-    sp.add_argument("--condition", choices=DECAY_CONDITIONS, default="jk",
-                    help="decay or tail condition")
-    sp.add_argument("--thresholds", type=_int_list, default="16,64,256,1024,4096",
-                    help="index-sum thresholds")
-    sp.add_argument("--horizon", type=int, default=1 << 13, help="sampling horizon")
-    sp.add_argument("--p", type=float, default=2.0, help="norm exponent of the tails")
-    sp.add_argument("--r", type=int, default=1, help="difference step of the tails")
+    if sp := command("decay", _run_decay):
+        from .decay import DECAY_CONDITIONS
+        _add_seq_flags(sp)
+        sp.add_argument("--condition", choices=DECAY_CONDITIONS, default="jk",
+                        help="decay or tail condition")
+        sp.add_argument("--thresholds", type=_int_list, default="16,64,256,1024,4096",
+                        help="index-sum thresholds")
+        sp.add_argument("--horizon", type=int, default=1 << 13, help="sampling horizon")
+        sp.add_argument("--p", type=float, default=2.0, help="norm exponent of the tails")
+        sp.add_argument("--r", type=int, default=1, help="difference step of the tails")
 
-    sp = command("log-integral", "log-integral inequality value", _run_log_integral)
-    sp.add_argument("--n", type=int, default=1, help="offset n")
-    sp.add_argument("--N", type=int, default=100, help="length N")
-    sp.add_argument("--p", type=float, default=2.0, help="exponent p")
+    if sp := command("log-integral", _run_log_integral):
+        sp.add_argument("--n", type=int, default=1, help="offset n")
+        sp.add_argument("--N", type=int, default=100, help="length N")
+        sp.add_argument("--p", type=float, default=2.0, help="exponent p")
 
-    sp = command("counterexample", "sharpness example tools", _run_counterexample)
-    sp.add_argument("action", choices=["certify", "ratio"])
-    sp.add_argument("--p", type=float, default=2.0,
-                    help="construction exponent when --seq-p is not given")
-    sp.add_argument("--seq-p", type=float, help="construction exponent")
-    sp.add_argument("--n-max", type=int, default=10000, help="certificate length")
-    sp.add_argument("--fixed-m", type=int, default=16, help="fixed m of the ratio scan")
-    sp.add_argument("--octaves", type=_octaves, default="4:12", help="ratio octaves LO:HI")
-    sp.add_argument("--norm-exponent", type=float, default=1.0,
-                    help="norm exponent of the ratio")
-    sp.add_argument("--restricted", action="store_true", help="restricted violation ratio")
+    if sp := command("counterexample", _run_counterexample):
+        sp.add_argument("action", choices=["certify", "ratio"])
+        sp.add_argument("--p", type=float, default=2.0,
+                        help="construction exponent when --seq-p is not given")
+        sp.add_argument("--seq-p", type=float, help="construction exponent")
+        sp.add_argument("--n-max", type=int, default=10000, help="certificate length")
+        sp.add_argument("--fixed-m", type=int, default=16, help="fixed m of the ratio scan")
+        sp.add_argument("--octaves", type=_octaves, default="4:12", help="ratio octaves LO:HI")
+        sp.add_argument("--norm-exponent", type=float, default=1.0,
+                        help="norm exponent of the ratio")
+        sp.add_argument("--restricted", action="store_true", help="restricted violation ratio")
     return ap
 
 
@@ -647,7 +668,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     as flags after argv; the result becomes the subcommand's defaults, and
     argv is parsed again on top of them.
     """
-    parser = build_parser()
+    # the top-level parser has no option that takes a value, so the first
+    # token that is not an option names the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     cfg = _read_config(args.config) if args.config else {}
     if getattr(args, "grid", None) is not None:

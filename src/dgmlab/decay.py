@@ -1,0 +1,336 @@
+"""Decay and tail checks of double sequences, and the log-integral inequality.
+
+``decay_report`` samples one of ``DECAY_CONDITIONS`` over log-spaced
+frontier anchors (m, n): the weighted coefficients ``jk`` and ``loglog``,
+the row and column tails, and the mixed and row/column difference tails.
+Each tail is one sweep over the rows from the horizon H down, batched over
+the anchors.  ``classify_decay`` reads the report as decaying, not
+decaying or inconclusive.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .sequences import (
+    DoubleSequenceRule,
+    mixed_diff_values,
+    row_diff_values,
+    step_diff_values,
+    transpose_rule,
+)
+
+
+class DecayVerdict(enum.Enum):
+    DECAYING = "decaying"
+    NOT_DECAYING = "not-decaying"
+    INCONCLUSIVE = "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# decay reports
+
+
+@dataclass(frozen=True)
+class DecaySample:
+    m: int
+    n: int
+    value: float
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    samples: list[DecaySample]
+    thresholds: list[int]
+    max_tail: list[float]  # aligned with thresholds; nonincreasing
+    trend_fit: float
+    conclusive: bool = True
+
+
+def frontier_samples(horizon: int) -> list[tuple[int, int]]:
+    """Log-spaced (m, n) anchors from index 2 along the paths m=n, m=2n,
+    n=2m and the axis-pinned paths, with small offsets so every residue
+    class mod 6 is hit on the diagonal."""
+    ladder = []
+    b = 2
+    while b <= horizon:
+        ladder.append(b)
+        b *= 2
+    pts: set[tuple[int, int]] = set()
+    for b in ladder:
+        for d in range(6):
+            s = b + d
+            for m, n in ((s, s), (2 * s, s), (s, 2 * s), (s, 2), (2, s)):
+                if m <= horizon and n <= horizon:
+                    pts.add((m, n))
+    return sorted(pts)
+
+
+def _decay_thresholds(samples: list[tuple[int, int]], thresholds: Sequence[int]) -> list[int]:
+    """The thresholds, checked before any sample is computed: strictly
+    increasing, and reached by the largest index sum m + n of the samples."""
+    ts = [int(t) for t in thresholds]
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("thresholds must be strictly increasing")
+    if not samples or max(m + n for m, n in samples) < ts[-1]:
+        raise ValueError("sampling horizon does not reach the largest threshold")
+    return ts
+
+
+def _build_decay_report(samples: list[tuple[int, int]], values: np.ndarray,
+                        ts: list[int], conclusive: bool) -> DecayReport:
+    sums = np.array([m + n for m, n in samples])
+    tails = []
+    for t in ts:
+        sel = values[sums >= t]
+        tails.append(float(sel.max()) if sel.size else 0.0)
+    pos = values > 0
+    if np.count_nonzero(pos) >= 3 and sums[pos].min() < sums[pos].max():
+        slope, _ = np.polyfit(np.log(sums[pos]), np.log(values[pos]), 1)
+        trend = float(slope)
+    else:
+        trend = math.nan
+    out = [DecaySample(m, n, float(v)) for (m, n), v in zip(samples, values)]
+    return DecayReport(out, ts, tails, trend, conclusive)
+
+
+def classify_decay(report: DecayReport) -> DecayVerdict:
+    """Three-valued reading of a decay report's tail trajectory."""
+    first, last = report.max_tail[0], report.max_tail[-1]
+    if last == 0.0:
+        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
+    if first > 0 and last <= 0.5 * first and (math.isnan(report.trend_fit)
+                                              or report.trend_fit < -0.02):
+        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
+    if last >= 0.9 * first:
+        return DecayVerdict.NOT_DECAYING
+    return DecayVerdict.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# tail quantities
+
+
+@dataclass(frozen=True)
+class TailEstimate:
+    """A truncated tail value with its truncation residual bound.
+
+    ``conclusive`` is False when the rule's support does not lie inside
+    the horizon and it carries no usable decay envelope, or the horizon
+    is too small for the envelope to control what lies beyond it.
+    """
+
+    value: float
+    residual: float
+    conclusive: bool
+
+
+_CHUNK = 256
+
+# the tails take time H^2: at 2^15, each takes up to about 7 s and 175 MB on `separable`
+TAIL_HORIZON_LIMIT = 1 << 15
+
+
+def _check_tail_args(anchors: Sequence[tuple[int, int]], horizon: int,
+                     p: float = 1.0, r: int = 1) -> None:
+    if not (p >= 1 and r >= 1):  # also refuses NaN
+        raise ValueError("need p >= 1 and r >= 1")
+    if horizon > TAIL_HORIZON_LIMIT:
+        raise ValueError(f"tail horizon must be at most {TAIL_HORIZON_LIMIT}")
+    if not anchors or not all(1 <= m <= horizon and 1 <= n <= horizon for m, n in anchors):
+        raise ValueError("bad index range")
+
+
+def _sweep(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], fold: np.ufunc,
+           anchors: Sequence[tuple[int, int]], horizon: int, k_hi: int) -> list[np.ndarray]:
+    """Per anchor (m, n), from column n on, the state after row m of one
+    sweep from row H down that folds each row of ``rows(js, ks)`` into a
+    zero-started state with ``fold``.  ``ks`` spans [n0, k_hi], n0 the
+    smallest anchor column, and ``rows`` gets ``_CHUNK`` rows per call; it
+    may append one column, which the anchors past k_hi read.  Each fold
+    makes a new state, so the state after an anchor row is kept as it is."""
+    n0 = min(n for _, n in anchors)
+    ks = np.arange(n0, k_hi + 1)[None, :]
+    wanted = {m for m, _ in anchors}
+    state, states = 0.0, {}
+    for top in range(horizon, min(wanted) - 1, -_CHUNK):
+        js = np.arange(max(top + 1 - _CHUNK, min(wanted)), top + 1, dtype=np.int64)[:, None]
+        for j, row in zip(js[::-1, 0].tolist(), rows(js, ks)[::-1]):
+            state = fold(state, row)
+            if j in wanted:
+                states[j] = state
+        del row  # the last view of the block: free it before the next one
+    return [states[m][min(n - n0, state.size - 1):] for m, n in anchors]
+
+
+def _weight_is_decreasing(kind: str, a: float, j: float) -> bool:
+    """Is w(t) = t * ln(t) * f(t) nonincreasing for t >= j?"""
+    if kind == "geometric":
+        # d/dt [ln t + ln ln t + t ln a] < 0 once t |ln a| > 1 + 1/ln t
+        return j * abs(math.log(a)) > 1.0 + 1.0 / math.log(j)
+    return a > 1.0 + 1.0 / math.log(j)
+
+
+def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
+                  horizon: int) -> list[TailEstimate]:
+    """``sup_{j in [m, H]} j * ln(j) * sum_{k=n}^{H} |c_jk|`` at every anchor (m, n).
+
+    Each row sum runs over [n, min(H, K)], K the support width, from its
+    last column down.  The residual bound covers both the truncated
+    inner k-tail and the unscanned j > H part: it is 0 when the support
+    lies inside the horizon, and otherwise needs a tail envelope on the
+    rule.  ``col-tail`` is this on the transposed rule.
+    """
+    _check_tail_args(anchors, horizon)
+    if any(m < 2 for m, _ in anchors):
+        raise ValueError("need m >= 2 so the ln weight is positive")
+    if c.factors is not None:
+        u, v = c.factors
+        values = []
+        for m, n in anchors:
+            js = np.arange(m, horizon + 1, dtype=np.int64)
+            sv = float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
+            values.append(float(np.max(js * np.log(js) * (np.abs(u.values(js)) * sv))))
+    else:
+        def weighted(js, ks):
+            # j ln j times the row suffix sums, and a 0 for the columns past the support
+            suffix = np.zeros((js.shape[0], ks.size + 1))
+            suffix[:, :-1] = np.cumsum(np.abs(c.values(js, ks))[:, ::-1], axis=1)[:, ::-1]
+            return js * np.log(js) * suffix
+
+        k_hi = horizon if c.support is None else min(horizon, c.support[1])
+        values = [float(s[0]) for s in _sweep(weighted, np.maximum, anchors, horizon, k_hi)]
+    env, h1 = c.tail, horizon + 1.0
+    exact = c.support is not None and max(c.support) <= horizon
+    out = []
+    for (m, n), value in zip(anchors, values):
+        residual = 0.0 if exact else math.inf
+        if env is not None and not exact:
+            js = np.arange(m, horizon + 1, dtype=np.int64)
+            resid_beyond = math.inf
+            if _weight_is_decreasing(env.kind, env.a_j, h1):
+                resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
+            w_max = float(np.max(js * np.log(js) * env.f(js.astype(float))))
+            residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
+        out.append(TailEstimate(value, residual, math.isfinite(residual)))
+    return out
+
+
+def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
+                     anchors: Sequence[tuple[int, int]], horizon: int) -> list[float]:
+    """``m^(1/p) n^(1/p) sum_{j=m}^{H} sum_{k=n}^{H} |mixed difference|`` at
+    every anchor (m, n).
+
+    Each column sum adds its rows from j = H down, so a value depends on
+    neither the other anchors nor ``_CHUNK``.
+    """
+    _check_tail_args(anchors, horizon, p, r)
+    if c.factors is not None:
+        u, v = c.factors
+        out = []
+        for m, n in anchors:
+            su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
+            sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
+            out.append((m * n) ** (1.0 / p) * su * sv)
+        return out
+    sums = _sweep(lambda js, ks: np.abs(mixed_diff_values(c, js, ks, r)), np.add,
+                  anchors, horizon, horizon)
+    return [(m * n) ** (1.0 / p) * float(np.sum(s)) for (m, n), s in zip(anchors, sums)]
+
+
+def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
+                       anchors: Sequence[tuple[int, int]], horizon: int) -> list[float]:
+    """``m^(1/p) sup_{k in [n, H]} k * sum_{j=m}^{H} |row difference at (j, k)|``
+    at every anchor (m, n).
+
+    Each column sum adds its rows from j = H down.  ``col-diff-tail`` is
+    this on the transposed rule.
+    """
+    _check_tail_args(anchors, horizon, p, r)
+    if c.factors is not None:
+        u, v = c.factors
+        out = []
+        for m, n in anchors:
+            ks = np.arange(n, horizon + 1, dtype=np.int64)
+            su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
+            out.append(m ** (1.0 / p) * su * float(np.max(ks * np.abs(v.values(ks)))))
+        return out
+    sums = _sweep(lambda js, ks: np.abs(row_diff_values(c, js, ks, r)), np.add,
+                  anchors, horizon, horizon)
+    return [m ** (1.0 / p) * float(np.max(np.arange(n, horizon + 1) * s))
+            for (m, n), s in zip(anchors, sums)]
+
+
+DECAY_CONDITIONS = ("jk", "loglog", "row-tail", "col-tail", "mixed-diff-tail",
+                    "row-diff-tail", "col-diff-tail")
+
+
+def decay_report(c: DoubleSequenceRule, condition: str, thresholds: Sequence[int],
+                 horizon: int, p: float = 2.0, r: int = 1) -> DecayReport:
+    """Sample one of ``DECAY_CONDITIONS`` over the frontier anchors and report it.
+
+    ``jk`` and ``loglog`` weigh ``|c_mn|`` by ``m * n`` and
+    ``m * n * ln(m) * ln(n)``; the tail conditions are the batched tails
+    above, and the ``col-*`` ones are the ``row-*`` ones on the transposed
+    rule with the anchors swapped.  ``p`` and ``r`` serve the diff tails.
+    The thresholds are checked before any value is computed, and the tail
+    conditions refuse a horizon past ``TAIL_HORIZON_LIMIT``.  The diff
+    tails bound no truncation residual yet and count as conclusive.
+    """
+    if condition not in DECAY_CONDITIONS:
+        raise ValueError(f"unknown decay condition {condition!r}")
+    anchors = frontier_samples(horizon)
+    ts = _decay_thresholds(anchors, thresholds)
+    conclusive = True
+    if condition in ("jk", "loglog"):
+        ms = np.array([m for m, _ in anchors], dtype=np.int64)
+        ns = np.array([n for _, n in anchors], dtype=np.int64)
+        weight = ms * ns
+        if condition == "loglog":
+            weight = weight * np.log(ms) * np.log(ns)
+        values = weight * np.abs(c.values(ms, ns))
+    elif condition == "mixed-diff-tail":
+        values = mixed_diff_tails(c, p, r, anchors, horizon)
+    else:
+        rule, at = c, anchors
+        if condition.startswith("col-"):
+            rule, at = transpose_rule(c), [(n, m) for m, n in anchors]
+        if condition.endswith("diff-tail"):
+            values = row_diff_tail_sups(rule, p, r, at, horizon)
+        else:
+            ests = row_tail_sups(rule, at, horizon)
+            values = [e.value for e in ests]
+            conclusive = all(e.conclusive for e in ests)
+    return _build_decay_report(anchors, np.asarray(values, float), ts, conclusive)
+
+
+# ---------------------------------------------------------------------------
+# the log-integral inequality
+
+
+def log_integral_bound(n: int, N: int, p: float) -> tuple[float, float]:
+    """Closed form of ``int_{n + N^(1/p)}^{n + N} dk / (k ln k)`` and its cap.
+
+    Returns ``(value, ln p)``.  The inequality says that the value never
+    exceeds ``ln p`` for ``n, N >= 1`` and ``p >= 1`` (degenerate equality
+    at p = 1); the caller checks it (the CLI reads a value above
+    ``ln p + 1e-12`` as violated).  Inputs whose ``n + N^(1/p)`` overflows
+    a float raise ``ValueError``.
+    """
+    if n < 1 or N < 1:
+        raise ValueError("need n >= 1 and N >= 1")
+    if not p >= 1:  # also refuses NaN
+        raise ValueError("need p >= 1")
+    try:
+        lower = n + N ** (1.0 / p)
+    except OverflowError:
+        lower = math.inf
+    if not math.isfinite(lower):
+        raise ValueError("n + N^(1/p) overflows a float")
+    value = math.log(math.log(n + N)) - math.log(math.log(lower))
+    return value, math.log(p)

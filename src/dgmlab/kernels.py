@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import HORIZON_LIMIT, SequenceRule
+from .sequences import HORIZON_LIMIT, SequenceRule, sorted_distinct
 
 TWO_PI = 2.0 * math.pi
 
@@ -318,7 +318,7 @@ def kernel_bound_sweep(r: int, points: int, k_max: int) -> list[HalfBandSweep]:
     if not 1 <= r <= KERNEL_STEP_LIMIT:
         raise ValueError(f"step r must be in [1, {KERNEL_STEP_LIMIT}]")
     # the rows either sign reads, and how many of the two signs read each
-    ks = np.union1d(np.arange(-r, k_max - r + 1), np.arange(0, k_max + 1))
+    ks = sorted_distinct(np.concatenate((np.arange(-r, k_max - r + 1), np.arange(0, k_max + 1))))
     shifts = ks + 0.5 * r
     reads = (ks >= 0).astype(np.int64) + (ks <= k_max - r)
     # columns of a block: a power of two of at least _BLOCK, as many as fill

@@ -28,13 +28,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convergence import frontier_product_max
 from .sequences import (
     HORIZON_LIMIT,
     DoubleSequenceRule,
     SequenceRule,
     block_p_norm,
     double_block_p_norm,
+    frontier_product_max,
     mixed_diff_values,
     p_norm,
     row_diff_values,

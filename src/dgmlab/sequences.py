@@ -11,17 +11,18 @@ envelope -- that let the heavier scans pick fast exact paths.  The hints
 never change semantics: every consumer falls back to the generic array
 path when a hint is absent.
 
-This module also provides the array step differences and the block
-p-norms that the class scanners and convergence checks are built from.
-Only the row difference is defined: the column difference of ``c`` is the
-row difference of ``transpose_rule(c)`` with the indices swapped.
+This module also provides the array step differences, the block p-norms
+and the sorted-array and suffix-max helpers that the class scanners and
+convergence checks are built from.  Only the row difference is defined:
+the column difference of ``c`` is the row difference of
+``transpose_rule(c)`` with the indices swapped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -253,6 +254,52 @@ def double_block_p_norm(c: DoubleSequenceRule, m: int, n: int, p: float, r: int)
     js = np.arange(m, 2 * m)[:, None]
     ks = np.arange(n, 2 * n)[None, :]
     return p_norm(mixed_diff_values(c, js, ks, r), p)
+
+
+# ---------------------------------------------------------------------------
+# sorted arrays and suffix maxima
+
+
+def sorted_distinct(a) -> np.ndarray:
+    """``np.unique(a)`` for NaN-free ``a``, bit for bit: the sorted entries,
+    each kept if it differs from the one before.  ``np.unique`` without
+    ``return_*`` flags imports ``numpy.ma`` (numpy 2.4), which no other
+    code here needs."""
+    s = np.sort(a, axis=None)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def _suffix_max(a: np.ndarray) -> np.ndarray:
+    """Suffix maxima along the last axis."""
+    return np.maximum.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
+
+
+def frontier_product_max(a: np.ndarray, b: np.ndarray,
+                         sums: Sequence[int]) -> list[tuple[float, int, int]]:
+    """Per sum s, the max of ``a[i-1] * b[j-1]`` over ``i + j >= s``.
+
+    ``(value, i, j)`` with 1-based indices, the smallest i first and then
+    the smallest j; ``(-inf, 0, 0)`` when no pair reaches s.  The suffix
+    maxima of ``b`` are computed once for all the sums.
+    """
+    sb = _suffix_max(b)
+    out = []
+    for s in sums:
+        i0 = max(1, s - b.size)
+        if i0 > a.size:
+            out.append((-math.inf, 0, 0))
+            continue
+        # i in [i0, i1] pairs with j >= s - i, the rest with every j
+        i1 = max(i0 - 1, min(s - 1, a.size))
+        reach = np.concatenate((sb[s - i1 - 1:s - i0][::-1], np.repeat(sb[0], a.size - i1)))
+        cand = a[i0 - 1:] * reach
+        i = i0 + int(np.argmax(cand))
+        j = max(1, s - i)
+        out.append((float(cand[i - i0]), i, j + int(np.argmax(b[j - 1:]))))
+    return out
 
 
 # ---------------------------------------------------------------------------

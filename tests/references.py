@@ -68,19 +68,15 @@ import math
 import numpy as np
 
 from dgmlab import kernels
-from dgmlab.convergence import (
-    CORNER_TABLE_CAP,
+from dgmlab.convergence import CORNER_TABLE_CAP, _corner_ladder, _start_maxima
+from dgmlab.counterexample import double_rule, single_term
+from dgmlab.decay import (
     _build_decay_report,
-    _corner_ladder,
     _decay_thresholds,
-    _start_maxima,
-    _suffix_max,
-    frontier_product_max,
     mixed_diff_tails,
     row_diff_tail_sups,
     row_tail_sups,
 )
-from dgmlab.counterexample import double_rule, single_term
 from dgmlab.kernels import (
     KERNEL_STEP_LIMIT,
     HalfBandSweep,
@@ -106,7 +102,9 @@ from dgmlab.sequences import (
     geometric_double_rule,
     geometric_rule,
     SequenceRule,
+    _suffix_max,
     double_block_p_norm,
+    frontier_product_max,
     mixed_diff_values,
     p_norm,
     power_double_rule,

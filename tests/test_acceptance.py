@@ -14,7 +14,6 @@ from dgmlab.cli import main as cli_main
 from dgmlab.convergence import (
     ConvergenceVerdict,
     GridSpec,
-    log_integral_bound,
     regular_remainder_sup,
 )
 from dgmlab.counterexample import (
@@ -23,6 +22,7 @@ from dgmlab.counterexample import (
     single_values,
     violation_ratio,
 )
+from dgmlab.decay import log_integral_bound
 from dgmlab.kernels import (
     direct_sine_sum,
     half_bands,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dgmlab import cli
 from dgmlab.cli import _octave_starts, build_parser, main
-from dgmlab.convergence import DECAY_CONDITIONS, TAIL_HORIZON_LIMIT
+from dgmlab.decay import DECAY_CONDITIONS, TAIL_HORIZON_LIMIT
 from dgmlab.kernels import KERNEL_STEP_LIMIT
 from dgmlab.sequences import HORIZON_LIMIT
 
@@ -196,7 +196,7 @@ class TestDecayCommand:
     ], ids=["p-below-1", "p-nan", "horizon-limit", "past-tail-horizon-limit"])
     def test_tail_refusals_name_their_field(self, tmp_path, capsys, monkeypatch, argv, err):
         # refused before any value: the report is never built
-        monkeypatch.setattr(cli, "decay_report", None)
+        monkeypatch.setattr("dgmlab.decay.decay_report", None)
         code = run(tmp_path, "decay", "--seq", "separable", *argv, "--thresholds", "16,64")
         assert (code, capsys.readouterr().err) == (3, err)
 
@@ -235,7 +235,7 @@ class TestLogIntegralCommand:
 
 class TestFailureExitCodes:
     def test_log_integral_violation_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "log_integral_bound", lambda n, N, p: (1.25, 0.5))
+        monkeypatch.setattr("dgmlab.decay.log_integral_bound", lambda n, N, p: (1.25, 0.5))
         code = run(tmp_path, "log-integral", "--n", "3", "--N", "7", "--p", "2")
         captured = capsys.readouterr()
         assert code == 1
@@ -245,7 +245,7 @@ class TestFailureExitCodes:
         assert rows == [["3", "7", "2", "1.25", "0.5"]]
 
     def test_log_integral_at_its_slack_is_ok(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "log_integral_bound", lambda n, N, p: (0.5 + 1e-12, 0.5))
+        monkeypatch.setattr("dgmlab.decay.log_integral_bound", lambda n, N, p: (0.5 + 1e-12, 0.5))
         assert run(tmp_path, "log-integral") == 0
         assert capsys.readouterr().out.startswith("log-integral: ok ")
 
@@ -578,9 +578,9 @@ class TestBoundedInputs:
         (["kernel-bound", "--r", str(KERNEL_STEP_LIMIT + 1)], "r"),
         (["kernel-bound", "--r", str(10**12)], "r"),
         (["converge", "--seq", "geometric", "--grid-r", "2", "--at-rational", "1,1",
-          "--thresholds", "5,3"], "at-rational"),
+          "--thresholds", "5,3"], "thresholds"),
         (["converge", "--seq", "geometric", "--grid-r", "2", "--at-rational", "1,1",
-          "--thresholds", "100", "--cap", "50"], "at-rational"),
+          "--thresholds", "100", "--cap", "50"], "cap"),
         (["embedding", "--seq", "geometric", "--p1", "2", "--p2", "1"], "p1"),
         (["embedding", "--seq", "geometric", "--r1", "2", "--r2", "3"], "r1"),
         (["embedding", "--seq", "geometric", "--p", "0.5", "--r1", "1", "--r2", "2"], "p"),
@@ -604,6 +604,10 @@ class TestBoundedInputs:
         (["membership", "--seq", "table", "--table-file", "one-field.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "bad-value.csv"], "table-file"),
         (["membership", "--seq", "table", "--table-file", "bad-imag.csv"], "table-file"),
+        (["converge", "--cap", "16", "--thresholds", "8,16,24,40"], "cap"),
+        (["converge", "--grid-r", "3", "--at-rational", "1,1", "--thresholds", "16,8",
+          "--cap", "64"], "thresholds"),
+        (["decay", "--horizon", "64", "--thresholds", "16,8"], "thresholds"),
     ])
     def test_refused_fast(self, tmp_path, capsys, monkeypatch, argv, field):
         # the table files above, named relative to the working directory
@@ -629,9 +633,9 @@ class TestBoundedInputs:
     ])
     def test_grid_past_its_limit(self, tmp_path, capsys, monkeypatch, argv, config, field):
         # with the limit at 8 abscissas; refused before any grid is built
-        monkeypatch.setattr(cli, "GRID_ABSCISSA_LIMIT", 8)
-        monkeypatch.setattr(cli, "GridSpec", None)
-        monkeypatch.setattr(cli, "regular_remainder_sup", None)
+        monkeypatch.setattr("dgmlab.convergence.GRID_ABSCISSA_LIMIT", 8)
+        monkeypatch.setattr("dgmlab.convergence.GridSpec", None)
+        monkeypatch.setattr("dgmlab.convergence.regular_remainder_sup", None)
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(config)
         assert run(tmp_path, "converge", "--seq", "geometric", "--cap", "64",
@@ -645,7 +649,7 @@ class TestBoundedInputs:
 
     def test_grid_at_its_limit_runs(self, tmp_path, capsys, monkeypatch):
         # step 3 with 2 points per band: at most (3 // 2 + 1) * (2 + 2) = 8 abscissas
-        monkeypatch.setattr(cli, "GRID_ABSCISSA_LIMIT", 8)
+        monkeypatch.setattr("dgmlab.convergence.GRID_ABSCISSA_LIMIT", 8)
         assert run(tmp_path, "converge", "--seq", "geometric", "--cap", "64",
                    "--grid", "r=3,points=2", "--no-plot") == 0
         assert "(49 points)" in capsys.readouterr().out
@@ -779,3 +783,43 @@ def test_every_run_ends_in_a_documented_exit_code(fuzz_dir, data):
         assert printed == "" and err.startswith("error:") and err.count("\n") == 1, (argv, lines)
     else:
         assert printed.count("\n") == 1 and err == "", (argv, lines)
+
+
+def _exits(capsys, parse) -> tuple:
+    """The exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneSubcommandParser:
+    """A run adds the arguments of its own subcommand only; what it prints
+    is what the parser of every subcommand prints."""
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli._COMMANDS)],
+                             ids=lambda argv: " ".join(argv))
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        full = _exits(capsys, lambda: build_parser().parse_args(argv))
+        assert full[0] == 0 and full[1].startswith("usage: dgmlab")
+        assert _exits(capsys, lambda: main(argv)) == full
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["converge", "--bogus"],
+                                      ["--bogus", "converge"], ["decay", "--condition", "x"]],
+                             ids=["unknown-subcommand", "no-subcommand", "unknown-option",
+                                  "unknown-top-level-option", "bad-choice"])
+    def test_errors_are_the_full_parsers(self, capsys, argv):
+        with pytest.raises(cli.UsageError) as exc:
+            build_parser().parse_args(argv)
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        def with_arguments(parser):
+            [sub] = [a for a in parser._actions if a.dest == "command"]
+            # every parser has its -h
+            return [name for name, sp in sub.choices.items() if len(sp._actions) > 1]
+
+        assert with_arguments(build_parser("converge")) == ["converge"]
+        assert with_arguments(build_parser("bogus")) == list(cli._COMMANDS)
+        assert with_arguments(build_parser()) == list(cli._COMMANDS)

@@ -6,16 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dgmlab import convergence
+from dgmlab import convergence, decay
 from dgmlab.convergence import (
     CORNER_TABLE_CAP,
-    DECAY_CONDITIONS,
     EXACT_GENERAL_CAP,
     GRID_ABSCISSA_LIMIT,
-    TAIL_HORIZON_LIMIT,
     ConvergenceVerdict,
-    DecayReport,
-    DecayVerdict,
     GridSpec,
     _corner_ladder,
     _general_scan,
@@ -24,25 +20,31 @@ from dgmlab.convergence import (
     _convergence_verdict,
     _start_maxima,
     _suffix_ranges,
-    classify_decay,
-    decay_report,
-    frontier_product_max,
-    frontier_samples,
     grid_points,
     grid_size_bound,
-    log_integral_bound,
-    mixed_diff_tails,
     rational_point_convergence,
     regular_remainder_sup,
+)
+from dgmlab.counterexample import double_rule
+from dgmlab.decay import (
+    DECAY_CONDITIONS,
+    TAIL_HORIZON_LIMIT,
+    DecayReport,
+    DecayVerdict,
+    classify_decay,
+    decay_report,
+    frontier_samples,
+    log_integral_bound,
+    mixed_diff_tails,
     row_diff_tail_sups,
     row_tail_sups,
 )
-from dgmlab.counterexample import double_rule
 from dgmlab.sequences import (
     DoubleSequenceRule,
     mixed_diff_values,
     row_diff_values,
     additive_rule,
+    frontier_product_max,
     geometric_double_rule,
     geometric_rule,
     power_double_rule,
@@ -841,10 +843,10 @@ class TestDecayReports:
     def test_thresholds_checked_before_any_sample(self, monkeypatch):
         calls = []
         for name in ("row_tail_sups", "row_diff_tail_sups", "mixed_diff_tails"):
-            def record(*args, name=name, reducer=getattr(convergence, name)):
+            def record(*args, name=name, reducer=getattr(decay, name)):
                 calls.append(name)
                 return reducer(*args)
-            monkeypatch.setattr(convergence, name, record)
+            monkeypatch.setattr(decay, name, record)
         c, count = counted(dataclasses.replace(geometric_double_rule(0.5), factors=None))
         for condition in DECAY_CONDITIONS:
             with pytest.raises(ValueError, match="does not reach"):
@@ -1099,7 +1101,7 @@ class TestBatchedMixedDiffTail:
     def test_every_anchor_with_a_small_window(self, monkeypatch):
         # 7-row blocks: unsorted, repeated and single-row anchors, and
         # anchor rows on either side of a block edge
-        monkeypatch.setattr(convergence, "_CHUNK", 7)
+        monkeypatch.setattr(decay, "_CHUNK", 7)
         horizon = 100
         anchors = frontier_samples(horizon) + [(100, 3), (9, 100), (9, 100), (50, 50)]
         for c in self.rules()[1:]:
@@ -1138,7 +1140,7 @@ class TestBatchedMixedDiffTail:
         for c in self.rules():
             got = []
             for chunk in (1, 7, 256):
-                monkeypatch.setattr(convergence, "_CHUNK", chunk)
+                monkeypatch.setattr(decay, "_CHUNK", chunk)
                 got.append(self.tails(c, anchors, horizon))
             assert got[0] == got[1] == got[2], c.label
 
@@ -1184,7 +1186,7 @@ class TestBatchedMixedDiffTail:
     def test_each_row_is_evaluated_once(self, monkeypatch, tail, per_entry):
         # every frontier anchor from (2, 2): rows and columns both span [2, H];
         # 7-row blocks move the window about 40 times
-        monkeypatch.setattr(convergence, "_CHUNK", 7)
+        monkeypatch.setattr(decay, "_CHUNK", 7)
         horizon = 300
         anchors = frontier_samples(horizon)
         c, count = counted(self.rules()[2])

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dgmlab.convergence import (
-    ConvergenceVerdict,
-    DecayVerdict,
-    classify_decay,
-    decay_report,
-    rational_point_convergence,
-)
+from dgmlab.convergence import ConvergenceVerdict, rational_point_convergence
 from dgmlab.counterexample import (
     SIN_2PI3,
     divergence_certificate,
@@ -18,6 +12,7 @@ from dgmlab.counterexample import (
     single_values,
     violation_ratio,
 )
+from dgmlab.decay import DecayVerdict, classify_decay, decay_report
 from dgmlab.membership import BoundFamily, BoundSpec, Verdict, membership_scan
 from references import direct_col_bound, double_term, scalar_eval
 

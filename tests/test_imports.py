@@ -22,22 +22,23 @@ from dgmlab.membership import BoundFamily
 
 SRC = Path(dgmlab.__file__).resolve().parents[1]
 
-CLI_MODULES = {"dgmlab", "dgmlab.cli", "dgmlab.convergence", "dgmlab.sequences",
-               "dgmlab.output"}
+CLI_MODULES = {"dgmlab", "dgmlab.cli", "dgmlab.sequences", "dgmlab.output"}
 
 # module -> the public names it defines, as the package exports them
 EXPORTS = {
     "convergence": [
-        "DECAY_CONDITIONS", "GRID_ABSCISSA_LIMIT", "TAIL_HORIZON_LIMIT",
-        "ConvergenceVerdict", "DecayReport", "DecayVerdict", "GridSpec",
-        "RemainderProfile", "TailEstimate", "classify_decay", "decay_report",
-        "grid_points", "grid_size_bound", "log_integral_bound", "mixed_diff_tails",
-        "rational_point_convergence", "regular_remainder_sup", "row_diff_tail_sups",
-        "row_tail_sups",
+        "GRID_ABSCISSA_LIMIT", "ConvergenceVerdict", "GridSpec", "RemainderProfile",
+        "grid_points", "grid_size_bound", "rational_point_convergence",
+        "regular_remainder_sup",
     ],
     "counterexample": [
         "DivergenceCertificate", "divergence_certificate", "double_rule", "single_rule",
         "violation_ratio",
+    ],
+    "decay": [
+        "DECAY_CONDITIONS", "TAIL_HORIZON_LIMIT", "DecayReport", "DecayVerdict",
+        "TailEstimate", "classify_decay", "decay_report", "log_integral_bound",
+        "mixed_diff_tails", "row_diff_tail_sups", "row_tail_sups",
     ],
     "kernels": [
         "PartialSumBound", "SbpDecomposition", "SingularAbscissa", "band_index",
@@ -101,12 +102,39 @@ class TestImportGraph:
         assert loaded_after("import dgmlab.cli") == CLI_MODULES
 
     @pytest.mark.parametrize("argv, extra", [
-        (["converge", "--seq", "geometric", "--cap", "64", "--grid", "r=1,points=1"], set()),
-        (["converge", "--seq", "proposition", "--cap", "64"], {"dgmlab.counterexample"}),
-        (["decay", "--seq", "geometric", "--horizon", "256", "--thresholds", "16,64"], set()),
+        (["converge", "--seq", "geometric", "--cap", "64", "--grid", "r=1,points=1"],
+         {"dgmlab.convergence"}),
+        (["converge", "--seq", "proposition", "--cap", "64"],
+         {"dgmlab.convergence", "dgmlab.counterexample"}),
+        (["decay", "--seq", "geometric", "--horizon", "256", "--thresholds", "16,64"],
+         {"dgmlab.decay"}),
+        (["log-integral"], {"dgmlab.decay"}),
+        (["membership", "--seq", "geometric", "--octaves", "1:3"], {"dgmlab.membership"}),
+        (["embedding", "--seq", "geometric", "--p1", "1", "--p2", "2", "--octaves", "0:2"],
+         {"dgmlab.membership"}),
+        (["counterexample", "ratio", "--octaves", "4:5"],
+         {"dgmlab.counterexample", "dgmlab.membership"}),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, extra):
         assert loaded_after(cli_run(tmp_path, *argv)) == CLI_MODULES | extra
+
+    def test_membership_library_loads_no_convergence(self):
+        assert loaded_after("import dgmlab.membership") == {
+            "dgmlab", "dgmlab.membership", "dgmlab.sequences"}
+
+
+class TestNoMaskedArrays:
+    """``np.unique`` and ``np.union1d`` without ``return_*`` flags import
+    ``numpy.ma`` (numpy 2.4); no subcommand needs it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--seq", "geometric", "--cap", "64", "--grid", "r=3,points=2"],
+        ["converge", "--seq", "separable", "--cap", "200", "--grid", "r=1,points=1"],
+        ["decay", "--seq", "geometric", "--horizon", "256", "--thresholds", "16,64"],
+        ["kernel-bound", "--r", "3", "--points", "5", "--k-max", "20"],
+    ], ids=["grid", "sampled", "decay", "kernel-bound"])
+    def test_run_loads_no_numpy_ma(self, tmp_path, argv):
+        assert fresh_json(cli_run(tmp_path, *argv), "'numpy.ma' in sys.modules") is False
 
 
 THREADS = ("[int(line.split()[1]) for line in open('/proc/self/status')"

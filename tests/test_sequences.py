@@ -21,6 +21,7 @@ from dgmlab.sequences import (
     row_diff_values,
     rule_from_function,
     rule_from_values,
+    sorted_distinct,
     step_diff_values,
     table_rule,
     transpose_rule,
@@ -582,3 +583,18 @@ def test_lower_rank_values_take_the_broadcast_shape():
     assert np.array_equal(got, np.repeat([[2.0], [4.0], [6.0]], 5, axis=1))
     got[0, 0] = -1.0  # writable, and not a view sharing one row across columns
     assert got[0, 1] == 2.0
+
+
+# a few values, so that draws repeat, with both zeros
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e300, math.inf, -math.inf]) \
+    | st.floats(allow_nan=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_FLOATS, max_size=40).map(lambda v: np.array(v, dtype=float))
+       | st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=40)
+       .map(lambda v: np.array(v, dtype=np.int64)))
+def test_sorted_distinct_is_np_unique(a):
+    got, want = sorted_distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -14,7 +14,8 @@ The list holds the README examples of CHANGE, with ``data.csv`` a seeded
 20x20 real table and ``complex.csv`` a seeded 12x9 complex one; the argv
 shapes of the benchmark's ``remainder`` and ``scans`` operations at fixed
 values; scans and embedding checks on six rules; a direct sine sum past
-its compensated-sum length; and two refusals.  Standard library only.
+its compensated-sum length; five refusals; and ``--help`` of the program
+and of each subcommand.  Standard library only.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ EXTRA = [
     ("table after a blank line", ["membership", "--seq", "table", "--table-file",
                                   "blank-header.csv", "--blocks", "2x2,4x4"]),
     ("exclusion 0", ["converge", *RULES["geometric"], "--exclusion", "0"]),
+    # a cap below the largest threshold and thresholds out of order
+    ("cap below a threshold", ["converge", "--cap", "16", "--thresholds", "8,16,24,40"]),
+    ("rational thresholds out of order", ["converge", "--grid-r", "3", "--at-rational", "1,1",
+                                          "--thresholds", "16,8", "--cap", "64"]),
+    ("decay thresholds out of order", ["decay", "--horizon", "64", "--thresholds", "16,8"]),
+    ("help", ["--help"]),
+] + [
+    (f"help {command}", [command, "--help"])
+    for command in ("membership", "embedding", "sbp", "kernel-bound", "converge", "decay",
+                    "log-integral", "counterexample")
 ] + [
     (f"{kind} {rule}", [kind.split()[0], *argv, *args])
     for rule, argv in RULES.items()
