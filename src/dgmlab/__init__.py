@@ -41,7 +41,6 @@ _EXPORTS = {
         "TAIL_HORIZON_LIMIT",
         "DecayReport",
         "DecayVerdict",
-        "TailEstimate",
         "classify_decay",
         "decay_report",
         "log_integral_bound",
@@ -76,6 +75,7 @@ _EXPORTS = {
     ),
     "sequences": (
         "HORIZON_LIMIT",
+        "Bracket",
         "DoubleSequenceRule",
         "SequenceRule",
         "TailEnvelope",

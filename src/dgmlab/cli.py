@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 _FAMILIES = ("mean-value", "max-window", "sup-window")  # membership.BoundFamily's values
@@ -270,15 +269,6 @@ def _records(cls, items) -> tuple[list[str], list[list]]:
     return names, [[getattr(e, k) for k in names] for e in items]
 
 
-def _verdict_exit(verdict) -> int:
-    """Exit code of a membership, convergence or decay verdict, read from its value."""
-    if verdict.value in ("consistent", "converging", "decaying"):
-        return EXIT_PASS
-    if verdict.value in ("violated", "not-converging", "not-decaying"):
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns a _Run and writes nothing
 
@@ -296,7 +286,7 @@ def _run_membership(args: argparse.Namespace) -> _Run:
         report = membership_scan(_double_rule(args), p, r, spec, _blocks(args))
     return _Run(f"membership: {report.verdict.value} c_estimate={report.c_estimate:.6g} "
                 f"growth_fit={report.growth_fit:.4g}",
-                _verdict_exit(report.verdict),
+                report.verdict.code,
                 {"membership.csv": _records(BlockEvidence, report.per_block)})
 
 
@@ -404,13 +394,14 @@ def _run_converge(args: argparse.Namespace) -> _Run:
             f"remainder sup vs threshold [{c.label}]", True)
     return _Run(f"converge: {profile.verdict.value} at {where} "
                 f"exact={str(profile.exact).lower()} caps={profile.caps}",
-                _verdict_exit(profile.verdict),
+                profile.verdict.code,
                 {"profile.csv": _records(ProfileEntry, entries)},
                 {"profile.svg": plot} if entries else {})
 
 
 def _run_decay(args: argparse.Namespace) -> _Run:
-    from .decay import TAIL_HORIZON_LIMIT, DecaySample, classify_decay, decay_report
+    from .decay import (TAIL_HORIZON_LIMIT, DecaySample, classify_decay, decay_report,
+                        frontier_samples)
     c = _double_rule(args)
     condition = args.condition
     tail = condition.endswith("tail")  # only the tail conditions read p and r
@@ -420,12 +411,17 @@ def _run_decay(args: argparse.Namespace) -> _Run:
         if not p >= 1:  # also refuses NaN
             raise UsageError("p", "need p >= 1")
         r = _step("r", r)
-    report = decay_report(c, condition, _thresholds(args.thresholds), horizon, p, r)
+    thresholds = _thresholds(args.thresholds)
+    reach = max((m + n for m, n in frontier_samples(horizon)), default=0)
+    if thresholds[-1] > reach:
+        raise UsageError("thresholds", f"must be at most {reach}, the largest index sum that "
+                                       f"horizon {horizon} reaches, got {thresholds[-1]}")
+    report = decay_report(c, condition, thresholds, horizon, p, r)
     verdict = classify_decay(report)
     tails = " ".join(f"{t:.4g}" for t in report.max_tail)
     return _Run(f"decay ({condition}): {verdict.value} max_tail=[{tails}] "
                 f"trend_fit={report.trend_fit:.4g}",
-                _verdict_exit(verdict),
+                verdict.code,
                 {"decay.csv": _records(DecaySample, report.samples)},
                 {"decay.svg": ([("max_tail", report.thresholds,
                                  [max(t, 1e-300) for t in report.max_tail])],
@@ -472,17 +468,9 @@ def _run_counterexample(args: argparse.Namespace) -> _Run:
     ns = _octave_starts(args.octaves)
     ratios = [cex.violation_ratio(m, n, p, norm_exponent=q, restricted=args.restricted)
               for n in ns]
-    slope = float(np.polyfit(np.log2(ns), np.log2(ratios), 1)[0]) \
-        if len(ns) >= 2 and all(v > 0 for v in ratios) else math.nan
-    # an infinite ratio comes from a truncated right-hand side: no reading
-    if not all(math.isfinite(v) for v in ratios):
-        reading, code = "inconclusive", EXIT_INCONCLUSIVE
-    elif not math.isnan(slope) and slope > 0.05:
-        reading, code = "growing", EXIT_FAIL
-    else:
-        reading, code = "bounded", EXIT_PASS
-    return _Run(f"counterexample ratio: {reading} slope={slope:.4g} norm_exponent={q:g}",
-                code, {"ratio.csv": (["n", "ratio"], zip(ns, ratios))})
+    verdict, slope = cex.read_ratios(ns, ratios)
+    return _Run(f"counterexample ratio: {verdict.value} slope={slope:.4g} norm_exponent={q:g}",
+                verdict.code, {"ratio.csv": (["n", "ratio"], zip(ns, ratios))})
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ configured caps and over a singularity-avoiding (x, y) grid.  For product
 rules the supremum factorizes and is found in O(cap) per grid point; a
 general real rule gets an exact cubic-cost scan at small caps; anything
 else falls back to log-spaced corner sampling, which only ever
-underestimates and therefore can never upgrade a verdict to "converging".
+underestimates: its residual is unbounded, so it can never read "converging".
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,16 +21,18 @@ import numpy as np
 
 from .sequences import (
     HORIZON_LIMIT,
+    Bracket,
     DoubleSequenceRule,
+    Reading,
     _suffix_max,
     frontier_product_max,
     sorted_distinct,
 )
 
-# Verdict tolerances: sup below TOL_CONVERGE at the largest threshold and
-# nonincreasing over the last four thresholds reads as converging; a sup
-# stuck above TOL_DIVERGE (within FLAT_RATIO of its recent peak) reads as
-# not converging; everything else is inconclusive.
+# Verdict tolerances: sups whose upper bounds are below TOL_CONVERGE at the
+# largest threshold and nonincreasing over the last four thresholds read as
+# converging; a sup stuck above TOL_DIVERGE (within FLAT_RATIO of its recent
+# peak) reads as not converging; everything else is inconclusive.
 TOL_CONVERGE = 1e-3
 TOL_DIVERGE = 0.1
 FLAT_RATIO = 0.5
@@ -48,7 +49,7 @@ CORNER_TABLE_CAP = 2048
 GRID_ABSCISSA_LIMIT = 64
 
 
-class ConvergenceVerdict(enum.Enum):
+class ConvergenceVerdict(Reading):
     CONVERGING = "converging"
     NOT_CONVERGING = "not-converging"
     INCONCLUSIVE = "inconclusive"
@@ -362,14 +363,12 @@ def _point_sups(c: DoubleSequenceRule, points: Sequence[tuple[float, float]],
 
 
 def _convergence_verdict(sups: Sequence[float], exact: bool) -> ConvergenceVerdict:
-    window = list(sups[-min(VERDICT_WINDOW, len(sups)):])
-    last = window[-1]
-    nonincreasing = all(a >= b - 1e-15 for a, b in zip(window, window[1:]))
-    if exact and last < TOL_CONVERGE and nonincreasing:
-        return ConvergenceVerdict.CONVERGING
-    if last > TOL_DIVERGE and last >= FLAT_RATIO * max(window):
-        return ConvergenceVerdict.NOT_CONVERGING
-    return ConvergenceVerdict.INCONCLUSIVE
+    # a sampled sup is a lower bound; the rectangles past the caps are not bounded yet
+    residual = 0.0 if exact else math.inf
+    return ConvergenceVerdict.read(
+        [Bracket(s, residual) for s in sups[-min(VERDICT_WINDOW, len(sups)):]],
+        lambda his: his[-1] < TOL_CONVERGE and all(a >= b - 1e-15 for a, b in zip(his, his[1:])),
+        lambda values: values[-1] > TOL_DIVERGE and values[-1] >= FLAT_RATIO * max(values))
 
 
 def _validate_thresholds(thresholds: Sequence[int], caps: tuple[int, int]) -> list[int]:

@@ -23,7 +23,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .sequences import (
+    Bracket,
     DoubleSequenceRule,
+    Reading,
     SequenceRule,
     TailEnvelope,
     p_norm,
@@ -35,6 +37,12 @@ if TYPE_CHECKING:
     from .membership import BoundSpec
 
 SIN_2PI3 = math.sin(2.0 * math.pi / 3.0)  # = sqrt(3)/2
+
+
+class RatioVerdict(Reading):
+    BOUNDED = "bounded"
+    GROWING = "growing"
+    INCONCLUSIVE = "inconclusive"
 
 
 def _validate_p(p: float) -> float:
@@ -160,3 +168,19 @@ def violation_ratio(m: int, n: int, p: float, spec: BoundSpec | None = None,
     lhs = p_norm(diffs, norm_exponent)
     # the column bound is the row bound of the transposed rule
     return _ratio(lhs, rhs_row_bound(transpose_rule(double_rule(p)), n, m, spec).value)
+
+
+def read_ratios(ns, ratios) -> tuple[RatioVerdict, float]:
+    """The reading of ratios at block starts ``ns``, growing if their log-log slope exceeds
+    ``MembershipReport.SLOPE_THRESHOLD``, and the slope; an inf ratio reads as (0, inf)."""
+    from .membership import MembershipReport
+
+    def slope(vs):
+        ok = len(ns) >= 2 and all(v > 0 for v in vs)
+        return float(np.polyfit(np.log2(ns), np.log2(vs), 1)[0]) if ok else math.nan
+
+    def growing(vs):
+        return slope(vs) > MembershipReport.SLOPE_THRESHOLD
+
+    evidence = [Bracket(v) if math.isfinite(v) else Bracket(0.0, math.inf) for v in ratios]
+    return RatioVerdict.read(evidence, lambda his: not growing(his), growing), slope(ratios)

@@ -4,13 +4,12 @@
 frontier anchors (m, n): the weighted coefficients ``jk`` and ``loglog``,
 the row and column tails, and the mixed and row/column difference tails.
 Each tail is one sweep over the rows from the horizon H down, batched over
-the anchors.  ``classify_decay`` reads the report as decaying, not
-decaying or inconclusive.
+the anchors.  ``classify_decay`` reads the report as decaying, not decaying
+or inconclusive, by the one rule of ``sequences.Reading``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -18,7 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .sequences import (
+    Bracket,
     DoubleSequenceRule,
+    Reading,
     mixed_diff_values,
     row_diff_values,
     step_diff_values,
@@ -26,7 +27,7 @@ from .sequences import (
 )
 
 
-class DecayVerdict(enum.Enum):
+class DecayVerdict(Reading):
     DECAYING = "decaying"
     NOT_DECAYING = "not-decaying"
     INCONCLUSIVE = "inconclusive"
@@ -100,34 +101,18 @@ def _build_decay_report(samples: list[tuple[int, int]], values: np.ndarray,
 
 
 def classify_decay(report: DecayReport) -> DecayVerdict:
-    """Three-valued reading of a decay report's tail trajectory."""
-    first, last = report.max_tail[0], report.max_tail[-1]
-    if last == 0.0:
-        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
-    if first > 0 and last <= 0.5 * first and (math.isnan(report.trend_fit)
-                                              or report.trend_fit < -0.02):
-        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
-    if last >= 0.9 * first:
-        return DecayVerdict.NOT_DECAYING
-    return DecayVerdict.INCONCLUSIVE
+    """Decaying: the last tail is 0, or at most half the first with a falling (or
+    unfitted) trend.  Not decaying: the last is nonzero and at least 0.9 of the first."""
+    trend, residual = report.trend_fit, 0.0 if report.conclusive else math.inf
+    return DecayVerdict.read(
+        [Bracket(t, residual) for t in report.max_tail],
+        lambda his: his[-1] == 0.0 or (his[0] > 0 and his[-1] <= 0.5 * his[0]
+                                       and (math.isnan(trend) or trend < -0.02)),
+        lambda values: values[-1] != 0.0 and values[-1] >= 0.9 * values[0])
 
 
 # ---------------------------------------------------------------------------
 # tail quantities
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """A truncated tail value with its truncation residual bound.
-
-    ``conclusive`` is False when the rule's support does not lie inside
-    the horizon and it carries no usable decay envelope, or the horizon
-    is too small for the envelope to control what lies beyond it.
-    """
-
-    value: float
-    residual: float
-    conclusive: bool
 
 
 _CHUNK = 256
@@ -177,7 +162,7 @@ def _weight_is_decreasing(kind: str, a: float, j: float) -> bool:
 
 
 def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
-                  horizon: int) -> list[TailEstimate]:
+                  horizon: int) -> list[Bracket]:
     """``sup_{j in [m, H]} j * ln(j) * sum_{k=n}^{H} |c_jk|`` at every anchor (m, n).
 
     Each row sum runs over [n, min(H, K)], K the support width, from its
@@ -217,7 +202,7 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
                 resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
             w_max = float(np.max(js * np.log(js) * env.f(js.astype(float))))
             residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
-        out.append(TailEstimate(value, residual, math.isfinite(residual)))
+        out.append(Bracket(value, residual))
     return out
 
 
@@ -286,6 +271,7 @@ def decay_report(c: DoubleSequenceRule, condition: str, thresholds: Sequence[int
         raise ValueError(f"unknown decay condition {condition!r}")
     anchors = frontier_samples(horizon)
     ts = _decay_thresholds(anchors, thresholds)
+    # the diff tails sum only up to H, yet their residual is taken as 0: still to bound
     conclusive = True
     if condition in ("jk", "loglog"):
         ms = np.array([m for m, _ in anchors], dtype=np.int64)
@@ -305,7 +291,7 @@ def decay_report(c: DoubleSequenceRule, condition: str, thresholds: Sequence[int
         else:
             ests = row_tail_sups(rule, at, horizon)
             values = [e.value for e in ests]
-            conclusive = all(e.conclusive for e in ests)
+            conclusive = all(math.isfinite(e.residual) for e in ests)
     return _build_decay_report(anchors, np.asarray(values, float), ts, conclusive)
 
 

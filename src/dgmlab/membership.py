@@ -11,8 +11,8 @@ class constant C:
   (rows/columns) and the same frontier supremum (mixed).
 
 Suprema are truncated at ``horizon_cap``.  A maximizer sitting on the cap
-boundary, or a frontier the cap cannot reach, is flagged and degrades the
-scan verdict to "inconclusive" instead of being silently swallowed.
+boundary, or a window or frontier the cap cannot reach, is flagged truncated:
+its ratio is unbounded above, so no scan reads "consistent" from it.
 
 Only the row quantities are implemented.  A column quantity of ``c`` at
 block (m, n) is the row quantity of ``transpose_rule(c)`` at (n, m): the
@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .sequences import (
     HORIZON_LIMIT,
+    Bracket,
     DoubleSequenceRule,
+    Reading,
     SequenceRule,
     block_p_norm,
     double_block_p_norm,
@@ -56,7 +58,7 @@ class BoundFamily(enum.Enum):
     SUP_WINDOW = "sup-window"
 
 
-class Verdict(enum.Enum):
+class Verdict(Reading):
     CONSISTENT = "consistent"
     VIOLATED = "violated"
     INCONCLUSIVE = "inconclusive"
@@ -107,14 +109,13 @@ class BoundValue:
     """One evaluated right-hand side (without the class constant C).
 
     ``maximizer`` is the window start (or pair) achieving a max/sup
-    family; ``truncated`` marks a maximizer on the horizon cap;
-    ``conclusive`` is False when the cap prevented any evaluation.
+    family; ``truncated`` marks a maximizer on the horizon cap, or a bound
+    the cap prevented from any evaluation (value 0, no maximizer).
     """
 
     value: float
     maximizer: object = None
     truncated: bool = False
-    conclusive: bool = True
 
 
 def _window_sums(values: np.ndarray, first: int, starts: np.ndarray) -> np.ndarray:
@@ -151,7 +152,7 @@ def rhs_row_bound(c: DoubleSequenceRule, m: int, n: int, spec: BoundSpec) -> Bou
     clipped = hi > cap
     hi = min(hi, cap)
     if lo > hi:
-        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+        return BoundValue(0.0, truncated=True)
     starts = np.arange(lo, hi + 1)
     vals = np.abs(c.values(np.arange(lo, 2 * hi + 1), n))
     sums = _window_sums(vals, lo, starts)
@@ -187,8 +188,7 @@ def rhs_mixed_bound(c: DoubleSequenceRule, m: int, n: int, spec: BoundSpec) -> B
         raise ValueError(f"{spec.family.value} family needs m, n >= lam={spec.lam}")
     lo_sum = max(2, math.ceil(spec.anchor(m + n) - 1e-9))
     sup = _frontier_sup(c, lo_sum, spec.horizon_cap)
-    return BoundValue(sup.value / (m * n), maximizer=sup.maximizer,
-                      truncated=sup.truncated, conclusive=sup.conclusive)
+    return replace(sup, value=sup.value / (m * n))
 
 
 def _frontier_sup(c: DoubleSequenceRule, lo_sum: int, cap: int) -> BoundValue:
@@ -200,7 +200,7 @@ def _frontier_sup(c: DoubleSequenceRule, lo_sum: int, cap: int) -> BoundValue:
         wv = _window_sums(np.abs(v.values(np.arange(1, 2 * cap + 1))), 1, starts)
         [(value, best_m, best_n)] = frontier_product_max(wu, wv, [lo_sum])
         if best_m == 0:  # the frontier lies beyond the cap
-            return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+            return BoundValue(0.0, truncated=True)
         truncated = best_m == cap or best_n == cap
         return BoundValue(value, maximizer=(best_m, best_n), truncated=truncated)
 
@@ -212,7 +212,7 @@ def _frontier_sup(c: DoubleSequenceRule, lo_sum: int, cap: int) -> BoundValue:
         # every frontier window starts beyond the support and is zero
         return BoundValue(0.0, maximizer=None)
     if lo_sum > m_hi + n_hi:
-        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+        return BoundValue(0.0, truncated=True)
     # a maximizer pinned at the scan's edge (not the support's) means the
     # scan may have stopped short
     m_capped, n_capped = edge < jmax, edge < kmax
@@ -299,8 +299,7 @@ def _ratio(lhs: float, bound: float) -> float:
 
 
 def _evidence(m: int, n: int, axis: str, lhs: float, rhs: BoundValue) -> BlockEvidence:
-    return BlockEvidence(m, n, axis, lhs, rhs.value, _ratio(lhs, rhs.value),
-                         truncated=rhs.truncated or not rhs.conclusive)
+    return BlockEvidence(m, n, axis, lhs, rhs.value, _ratio(lhs, rhs.value), rhs.truncated)
 
 
 def _check_scan(blocks: Sequence, p: float, r: int) -> None:
@@ -332,11 +331,11 @@ def membership_scan(c: DoubleSequenceRule, p: float, r: int, spec: BoundSpec,
     """Evaluate the three class inequalities on every block and aggregate.
 
     Each block (m, n) contributes the row, column and mixed left-hand
-    sides against the family bounds.  The verdict is VIOLATED exactly when
-    some conclusive bound is zero against a positive left-hand side, or
-    when some axis ratio grows like a positive power over >= 6 octaves
-    with log-log correlation >= 0.9; truncated bounds otherwise degrade
-    the verdict to INCONCLUSIVE.
+    sides against the family bounds, and ``sequences.Reading`` reads the
+    ratios.  VIOLATED: some untruncated bound is zero against a left-hand
+    side above ``ABS_TOL``, or some axis ratio grows like a positive power
+    over >= 6 octaves with log-log correlation >= 0.9.  CONSISTENT: neither,
+    and no bound is truncated.  Else INCONCLUSIVE.
     """
     _check_scan(blocks, p, r)
     t = transpose_rule(c)
@@ -349,35 +348,20 @@ def membership_scan(c: DoubleSequenceRule, p: float, r: int, spec: BoundSpec,
 
 
 def _aggregate(evidence: list[BlockEvidence]) -> MembershipReport:
-    finite = [e.ratio for e in evidence if e.rhs > 0 and not e.truncated]
-    c_estimate = max(finite, default=0.0)
-    hard_violation = any(
-        e.rhs == 0.0 and e.lhs > ABS_TOL and not e.truncated for e in evidence
-    )
-
+    bounded = [e for e in evidence if e.rhs > 0 and not e.truncated]
     anchors = {"row": lambda e: e.m, "col": lambda e: e.n, "mixed": lambda e: e.m + e.n}
-    fits = []
-    for axis, anchor in anchors.items():
-        pts = [(anchor(e), e.ratio) for e in evidence
-               if e.axis == axis and e.rhs > 0 and not e.truncated]
-        fit = _fit_axis(axis, pts)
-        if fit is not None:
-            fits.append(fit)
-
-    growth_fit = max((f.slope for f in fits), default=math.nan)
-    growth_violation = any(
-        f.slope > MembershipReport.SLOPE_THRESHOLD
-        and f.octaves >= MembershipReport.MIN_OCTAVES
-        and f.correlation >= MembershipReport.MIN_CORRELATION
-        for f in fits
-    )
-    if hard_violation or growth_violation:
-        verdict = Verdict.VIOLATED
-    elif any(e.truncated for e in evidence):
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.CONSISTENT
-    return MembershipReport(evidence, c_estimate, growth_fit, verdict, fits)
+    fits = [fit for axis, anchor in anchors.items()
+            if (fit := _fit_axis(axis, [(anchor(e), e.ratio) for e in bounded if e.axis == axis]))]
+    growth = any(f.slope > MembershipReport.SLOPE_THRESHOLD
+                 and f.octaves >= MembershipReport.MIN_OCTAVES
+                 and f.correlation >= MembershipReport.MIN_CORRELATION for f in fits)
+    # a ratio is unbounded above if truncated, exact against a positive bound, and
+    # against a zero bound inf (a violation) for a lhs above ABS_TOL, else 0
+    ratios = [Bracket(0.0, math.inf) if e.truncated else Bracket(e.ratio) if e.rhs > 0
+              else Bracket(math.inf if e.lhs > ABS_TOL else 0.0) for e in evidence]
+    verdict = Verdict.read(ratios, lambda his: not growth, lambda vs: growth or math.inf in vs)
+    return MembershipReport(evidence, max((e.ratio for e in bounded), default=0.0),
+                            max((f.slope for f in fits), default=math.nan), verdict, fits)
 
 
 def gm_membership_scan(seq: SequenceRule, p: float, r: int, spec: BoundSpec,

@@ -15,11 +15,13 @@ This module also provides the array step differences, the block p-norms
 and the sorted-array and suffix-max helpers that the class scanners and
 convergence checks are built from.  Only the row difference is defined:
 the column difference of ``c`` is the row difference of
-``transpose_rule(c)`` with the indices swapped.
+``transpose_rule(c)`` with the indices swapped.  Each verdict is a ``Reading``
+of ``Bracket`` evidence.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,6 +31,38 @@ import numpy as np
 # Hard ceiling on any index horizon accepted by the lab; keeps desk runs
 # bounded regardless of configuration.
 HORIZON_LIMIT = 2**24
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A verdict quantity in ``[value, hi]``: ``value`` is what was computed,
+    and ``residual`` bounds what was not (inf where nothing does)."""
+
+    value: float
+    residual: float = 0.0
+
+    @property
+    def hi(self) -> float:
+        return self.value + self.residual
+
+
+class Reading(enum.Enum):
+    """A three-valued verdict: its members are the good, the bad and the
+    inconclusive reading, in that order; a member's position is its exit code."""
+
+    @property
+    def code(self) -> int:
+        return list(type(self)).index(self)
+
+    @classmethod
+    def read(cls, evidence: Sequence[Bracket], good: Callable, bad: Callable) -> Reading:
+        """Good if every ``hi`` is finite and ``good`` holds on the ``hi`` sides;
+        else bad if ``bad`` holds on the ``value`` sides; else inconclusive."""
+        good_side, bad_side, neither = cls
+        his = [b.hi for b in evidence]
+        if all(math.isfinite(h) for h in his) and good(his):
+            return good_side
+        return bad_side if bad([b.value for b in evidence]) else neither
 
 
 @dataclass(frozen=True)

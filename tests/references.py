@@ -41,6 +41,12 @@ These must equal their replacements bit for bit (``==``):
   ceiling can change neither result, and ``two_branch_jordan_bounds``,
   which computed both branches of the half-band bound.
 
+* The four verdict rules that ``sequences.Reading.read`` replaced, as
+  they were: ``branch_classify_decay``, ``branch_convergence_verdict``,
+  ``branch_aggregate`` (membership) and ``branch_ratio_reading``, the
+  ``counterexample ratio`` reading the CLI made.  They give the same
+  verdict on every report whose verdict quantities are finite.
+
 ``assert_bits_equal`` is that ``==`` for arrays that may hold NaN.
 
 ``scalar_eval`` is the scalar evaluator that the rules had, one value as
@@ -68,9 +74,19 @@ import math
 import numpy as np
 
 from dgmlab import kernels
-from dgmlab.convergence import CORNER_TABLE_CAP, _corner_ladder, _start_maxima
+from dgmlab.convergence import (
+    CORNER_TABLE_CAP,
+    FLAT_RATIO,
+    TOL_CONVERGE,
+    TOL_DIVERGE,
+    VERDICT_WINDOW,
+    ConvergenceVerdict,
+    _corner_ladder,
+    _start_maxima,
+)
 from dgmlab.counterexample import double_rule, single_term
 from dgmlab.decay import (
+    DecayVerdict,
     _build_decay_report,
     _decay_thresholds,
     mixed_diff_tails,
@@ -89,10 +105,14 @@ from dgmlab.kernels import (
     kernel_band_bound,
 )
 from dgmlab.membership import (
+    ABS_TOL,
     BoundFamily,
     BoundValue,
     EmbeddingReport,
     EmbeddingViolation,
+    MembershipReport,
+    Verdict,
+    _fit_axis,
     _leq,
     _window_sums,
 )
@@ -207,7 +227,7 @@ def direct_col_bound(c, m, n, spec):
     clipped = hi > cap
     hi = min(hi, cap)
     if lo > hi:
-        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+        return BoundValue(0.0, maximizer=None, truncated=True)
     starts = np.arange(lo, hi + 1)
     vals = abs_col(np.arange(lo, 2 * hi + 1))
     sums = _window_sums(vals, lo, starts)
@@ -318,7 +338,7 @@ def decay_dispatch(c, condition, thresholds, horizon, p=2.0, r=1):
         if condition.endswith("diff-tail"):
             return row_diff_tail_sups(rule, p, r, at, horizon), True
         ests = row_tail_sups(rule, at, horizon)
-        return [e.value for e in ests], all(e.conclusive for e in ests)
+        return [e.value for e in ests], all(math.isfinite(e.residual) for e in ests)
 
     return tail_decay_report(fn, thresholds, horizon)
 
@@ -723,3 +743,73 @@ def tile_kernel_bound_sweep(r, points, k_max):
                     bad += int(reads[s0:s0 + step] @ hits)
         reports.append(HalfBandSweep(band, half, points, k_max, worst, bad))
     return reports
+
+
+def branch_classify_decay(report):
+    """Three-valued reading of a decay report's tail trajectory."""
+    first, last = report.max_tail[0], report.max_tail[-1]
+    if last == 0.0:
+        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
+    if first > 0 and last <= 0.5 * first and (math.isnan(report.trend_fit)
+                                              or report.trend_fit < -0.02):
+        return DecayVerdict.DECAYING if report.conclusive else DecayVerdict.INCONCLUSIVE
+    if last >= 0.9 * first:
+        return DecayVerdict.NOT_DECAYING
+    return DecayVerdict.INCONCLUSIVE
+
+
+def branch_convergence_verdict(sups, exact):
+    window = list(sups[-min(VERDICT_WINDOW, len(sups)):])
+    last = window[-1]
+    nonincreasing = all(a >= b - 1e-15 for a, b in zip(window, window[1:]))
+    if exact and last < TOL_CONVERGE and nonincreasing:
+        return ConvergenceVerdict.CONVERGING
+    if last > TOL_DIVERGE and last >= FLAT_RATIO * max(window):
+        return ConvergenceVerdict.NOT_CONVERGING
+    return ConvergenceVerdict.INCONCLUSIVE
+
+
+def branch_aggregate(evidence):
+    finite = [e.ratio for e in evidence if e.rhs > 0 and not e.truncated]
+    c_estimate = max(finite, default=0.0)
+    hard_violation = any(
+        e.rhs == 0.0 and e.lhs > ABS_TOL and not e.truncated for e in evidence
+    )
+
+    anchors = {"row": lambda e: e.m, "col": lambda e: e.n, "mixed": lambda e: e.m + e.n}
+    fits = []
+    for axis, anchor in anchors.items():
+        pts = [(anchor(e), e.ratio) for e in evidence
+               if e.axis == axis and e.rhs > 0 and not e.truncated]
+        fit = _fit_axis(axis, pts)
+        if fit is not None:
+            fits.append(fit)
+
+    growth_fit = max((f.slope for f in fits), default=math.nan)
+    growth_violation = any(
+        f.slope > MembershipReport.SLOPE_THRESHOLD
+        and f.octaves >= MembershipReport.MIN_OCTAVES
+        and f.correlation >= MembershipReport.MIN_CORRELATION
+        for f in fits
+    )
+    if hard_violation or growth_violation:
+        verdict = Verdict.VIOLATED
+    elif any(e.truncated for e in evidence):
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        verdict = Verdict.CONSISTENT
+    return MembershipReport(evidence, c_estimate, growth_fit, verdict, fits)
+
+
+def branch_ratio_reading(ns, ratios):
+    """``(reading, exit code, slope)`` of a ``counterexample ratio`` scan."""
+    slope = float(np.polyfit(np.log2(ns), np.log2(ratios), 1)[0]) \
+        if len(ns) >= 2 and all(v > 0 for v in ratios) else math.nan
+    # an infinite ratio comes from a truncated right-hand side: no reading
+    if not all(math.isfinite(v) for v in ratios):
+        reading, code = "inconclusive", 2
+    elif not math.isnan(slope) and slope > 0.05:
+        reading, code = "growing", 1
+    else:
+        reading, code = "bounded", 0
+    return reading, code, slope

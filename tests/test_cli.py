@@ -67,6 +67,18 @@ class TestMembershipCommand:
                    "--cap", "16", "--blocks", "2x2")
         assert code == 2
 
+    @pytest.mark.parametrize("seq", [["--seq", "power", "--exponent", "0.5"],
+                                     ["--seq", "separable"]], ids=["product", "general"])
+    def test_bounds_the_cap_never_evaluates_are_inconclusive(self, tmp_path, capsys, seq):
+        # b(64) = 32 lies past the cap of 4: the row and column windows start
+        # after they end, and the mixed frontier M + N >= 64 lies past the cap
+        code = run(tmp_path, "membership", *seq, "--family", "sup-window", "--cap", "4",
+                   "--blocks", "64x64", "--no-plot")
+        assert code == 2 and capsys.readouterr().out.startswith("membership: inconclusive ")
+        _, rows = read_csv(tmp_path / "membership.csv")
+        assert [(r[2], r[4], r[6]) for r in rows] == [
+            ("row", "0", "true"), ("col", "0", "true"), ("mixed", "0", "true")]
+
 
 class TestEmbeddingCommand:
     def test_p_norm_mode(self, tmp_path):
@@ -111,6 +123,19 @@ class TestKernelBoundCommand:
 
 
 class TestConvergeCommand:
+    def test_sampled_sup_below_the_tolerance_is_inconclusive(self, tmp_path, capsys):
+        # a complex table takes the sampled path: its sups are lower bounds,
+        # so even sups of about 1e-17 cannot read converging
+        path = tmp_path / "c.csv"
+        path.write_text("1,1,0.5,0.1\n1,2,0.25\n2,1,0.25\n2,2,0.125\n")
+        code = run(tmp_path, "converge", "--seq", "table", "--table-file", str(path),
+                   "--cap", "64", "--no-plot")
+        out = capsys.readouterr().out
+        assert code == 2 and out.startswith("converge: inconclusive "), out
+        assert " exact=false " in out
+        _, rows = read_csv(tmp_path / "profile.csv")
+        assert max(float(r[1]) for r in rows) < 1e-3
+
     def test_geometric_converging(self, tmp_path):
         code = run(tmp_path, "converge", "--seq", "geometric",
                    "--thresholds", "10,20,30,40", "--cap", "2048",
@@ -608,6 +633,7 @@ class TestBoundedInputs:
         (["converge", "--grid-r", "3", "--at-rational", "1,1", "--thresholds", "16,8",
           "--cap", "64"], "thresholds"),
         (["decay", "--horizon", "64", "--thresholds", "16,8"], "thresholds"),
+        (["decay", "--horizon", "64", "--thresholds", "16,8000"], "thresholds"),
     ])
     def test_refused_fast(self, tmp_path, capsys, monkeypatch, argv, field):
         # the table files above, named relative to the working directory

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgmlab import convergence, decay
 from dgmlab.convergence import (
@@ -56,6 +58,8 @@ from dgmlab.sequences import (
 )
 from references import (
     assert_bits_equal,
+    branch_classify_decay,
+    branch_convergence_verdict,
     decay_dispatch,
     double_partial_sum,
     loop_mixed_diff_tail,
@@ -923,7 +927,7 @@ class TestTailSups:
         want = max(j * math.log(j) * sum(0.5 ** (j + k) for k in range(3, 201))
                    for j in range(4, 201))
         assert rel_close(est.value, want)
-        assert est.conclusive and est.residual < 1e-30
+        assert math.isfinite(est.hi) and est.residual < 1e-30
         # closed form: inner tail is 2^-j * 2^(1-n); the weight peaks at j=3,
         # so from m=4 on the sup sits at the block start
         assert rel_close(est.value, 4 * math.log(4) * sum(0.5 ** (4 + k) for k in range(3, 201)))
@@ -932,21 +936,21 @@ class TestTailSups:
         c = power_double_rule(2.0)
         values = [row_tail(c, m, m, 4000).value for m in (8, 32, 128)]
         assert all(a > b for a, b in zip(values, values[1:]))
-        assert row_tail(c, 8, 8, 4000).conclusive
+        assert math.isfinite(row_tail(c, 8, 8, 4000).hi)
 
     def test_no_envelope_is_inconclusive(self):
         # the support reaches past the horizon on one axis: the tail is truncated
         rng = np.random.default_rng(9)
         for shape in ((32, 80), (80, 32)):
             c = table_rule(rng.normal(size=shape))
-            assert not row_tail(c, 2, 1, 64).conclusive
+            assert not math.isfinite(row_tail(c, 2, 1, 64).hi)
 
     def test_support_inside_the_horizon_is_exact(self):
         # every row and column past the support is zero: nothing is truncated
         rng = np.random.default_rng(9)
         for shape, horizon in (((32, 32), 64), ((24, 70), 128), ((64, 64), 64)):
             est = row_tail(table_rule(rng.normal(size=shape)), 2, 1, horizon)
-            assert est.conclusive and est.residual == 0.0
+            assert math.isfinite(est.hi) and est.residual == 0.0
 
     def test_col_variant_transposes(self):
         rng = np.random.default_rng(19)
@@ -1268,3 +1272,61 @@ def test_decay_trend_from_too_few_samples():
     assert math.isnan(rep.trend_fit)
     assert rep.max_tail == [4.0, 0.16]
     assert classify_decay(rep) is DecayVerdict.DECAYING
+
+
+# ---------------------------------------------------------------------------
+# the decay and convergence verdicts against the rules they replaced
+
+
+def _near(*points):
+    """Floats that sit on and around the given verdict boundaries, or anywhere."""
+    return st.sampled_from([0.0, *points, *(math.nextafter(x, 0.0) for x in points),
+                            *(math.nextafter(x, math.inf) for x in points)]) \
+        | st.floats(0.0, 1e300)
+
+
+_TAILS = st.lists(_near(1.0, 0.5, 0.9, 2.0), min_size=1, max_size=5)
+_TRENDS = st.just(math.nan) | st.sampled_from([-0.02, 0.0]) | st.floats(-50.0, 50.0)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_TAILS, _TRENDS, st.booleans())
+@example([0.0, 0.0, 0.0], math.nan, True)  # zero tails
+@example([0.0, 0.0, 0.0], math.nan, False)
+@example([2.0, 1.0], math.nan, True)  # a NaN trend
+@example([2.0, 1.0], math.nan, False)
+def test_classify_decay_is_the_branch_rule(tails, trend, conclusive):
+    rep = DecayReport([], list(range(1, len(tails) + 1)), tails, trend, conclusive)
+    assert classify_decay(rep) is branch_classify_decay(rep)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_near(1.0) | st.just(math.inf), min_size=1, max_size=5)
+       .filter(lambda tails: math.inf in tails), _TRENDS, st.booleans())
+@example([math.inf, 0.0], math.nan, True)
+@example([math.inf, math.inf], math.nan, True)
+def test_an_overflowed_tail_never_reads_decaying(tails, trend, conclusive):
+    """A tail that overflowed to inf has no finite upper bound.  The branch
+    rule read it like any number, so ``[inf 0]`` read decaying; the one rule
+    reads it as a value only."""
+    rep = DecayReport([], list(range(1, len(tails) + 1)), tails, trend, conclusive)
+    assert classify_decay(rep) is not DecayVerdict.DECAYING
+
+
+_SUPS = st.lists(_near(1e-3, 0.1, 0.05, 0.2), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_SUPS, st.booleans())
+@example([0.0, 0.0, 0.0, 0.0], False)
+@example([5e-4, 5e-4 + 1e-15, 4e-4], True)  # nonincreasing within 1e-15
+def test_convergence_verdict_is_the_branch_rule(sups, exact):
+    assert _convergence_verdict(sups, exact) is branch_convergence_verdict(sups, exact)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_near(1e-3, 0.1), min_size=1, max_size=3), st.integers(0, 3))
+@example([0.0], 0)
+def test_an_overflowed_sup_never_reads_converging(sups, at):
+    sups = [*sups[:at], math.inf, *sups[at:]][-convergence.VERDICT_WINDOW:]
+    assert _convergence_verdict(sups, True) is not ConvergenceVerdict.CONVERGING

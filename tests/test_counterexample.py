@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgmlab.convergence import ConvergenceVerdict, rational_point_convergence
 from dgmlab.counterexample import (
     SIN_2PI3,
     divergence_certificate,
     double_rule,
+    read_ratios,
     single_term,
     single_values,
     violation_ratio,
 )
 from dgmlab.decay import DecayVerdict, classify_decay, decay_report
 from dgmlab.membership import BoundFamily, BoundSpec, Verdict, membership_scan
-from references import direct_col_bound, double_term, scalar_eval
+from references import branch_ratio_reading, direct_col_bound, double_term, scalar_eval
 
 REL = 1e-12
 
@@ -205,3 +208,28 @@ class TestDecayBehaviour:
 def test_library_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@st.composite
+def ratio_scans(draw):
+    """Block starts over consecutive octaves, and ratios that follow a power
+    of n with some noise, or are drawn freely, among them 0, inf and NaN."""
+    lo, count = draw(st.integers(0, 20)), draw(st.integers(1, 8))
+    slope, noise = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 0.2))
+    free = st.sampled_from([0.0, math.inf, math.nan, 1.0]) | st.floats(1e-6, 1e6)
+    ratios = [2.0 ** (slope * t + noise * draw(st.floats(-1.0, 1.0))) if draw(st.booleans())
+              else draw(free) for t in range(lo, lo + count)]
+    return [2**t for t in range(lo, lo + count)], ratios
+
+
+@settings(deadline=None, max_examples=500)
+@given(ratio_scans())
+@example(([16, 32], [1.0, math.inf]))  # an inf ratio
+@example(([16, 32, 64], [1.0, 1.0 * 2**0.05, 2**0.1]))  # on the slope threshold
+@example(([16], [3.0]))
+def test_ratio_reading_is_the_branch_rule(scan):
+    ns, ratios = scan
+    verdict, slope = read_ratios(ns, ratios)
+    reading, code, want = branch_ratio_reading(ns, ratios)
+    assert (verdict.value, verdict.code) == (reading, code)
+    assert slope == want or (math.isnan(slope) and math.isnan(want))

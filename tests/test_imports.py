@@ -37,7 +37,7 @@ EXPORTS = {
     ],
     "decay": [
         "DECAY_CONDITIONS", "TAIL_HORIZON_LIMIT", "DecayReport", "DecayVerdict",
-        "TailEstimate", "classify_decay", "decay_report", "log_integral_bound",
+        "classify_decay", "decay_report", "log_integral_bound",
         "mixed_diff_tails", "row_diff_tail_sups", "row_tail_sups",
     ],
     "kernels": [
@@ -51,7 +51,7 @@ EXPORTS = {
         "membership_scan", "rhs_mixed_bound", "rhs_row_bound",
     ],
     "sequences": [
-        "HORIZON_LIMIT", "DoubleSequenceRule", "SequenceRule", "TailEnvelope",
+        "HORIZON_LIMIT", "Bracket", "DoubleSequenceRule", "SequenceRule", "TailEnvelope",
         "additive_rule", "block_p_norm", "double_block_p_norm",
         "geometric_double_rule", "geometric_rule", "power_double_rule", "power_rule",
         "product_rule", "rule_from_function", "rule_from_values", "table_rule",

@@ -1,20 +1,24 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgmlab import membership
 from dgmlab.membership import (
+    ABS_TOL,
     BoundFamily,
     BoundSpec,
     BoundValue,
     BlockEvidence,
     Verdict,
+    _AXES,
     _aggregate,
     _fit_axis,
     _frontier_sup,
+    _ratio,
     _row_lhs,
     _window_sums,
     divisor_embedding_check,
@@ -26,6 +30,7 @@ from dgmlab.membership import (
 )
 from dgmlab.sequences import (
     SequenceRule,
+    additive_rule,
     geometric_double_rule,
     geometric_rule,
     p_norm,
@@ -38,6 +43,7 @@ from dgmlab.sequences import (
 )
 import references
 from references import (
+    branch_aggregate,
     constant_rule,
     direct_col_bound,
     direct_col_lhs,
@@ -127,7 +133,7 @@ class TestRowBound:
         c = geometric_double_rule(0.5)
         spec = sup_window(b=lambda l: float(l), cap=16)
         got = rhs_row_bound(c, 64, 1, spec)
-        assert not got.conclusive
+        assert got.truncated and got.maximizer is None
         assert got.value == 0.0
 
 
@@ -202,7 +208,7 @@ class TestTransposedColumnForms:
         c = geometric_double_rule(0.5)
         spec = sup_window(b=lambda l: float(l), cap=16)
         got = rhs_col_bound(c, 1, 64, spec)
-        assert got == direct_col_bound(c, 1, 64, spec) and not got.conclusive
+        assert got == direct_col_bound(c, 1, 64, spec) and got.truncated
         ones = product_rule(constant_rule(1.0), constant_rule(1.0))
         got = rhs_col_bound(ones, 2, 2, sup_window(cap=64))
         assert got == direct_col_bound(ones, 2, 2, sup_window(cap=64)) and got.truncated
@@ -264,20 +270,20 @@ class TestFrontierTruncationHonesty:
     def test_cap_covering_support_is_exact(self):
         small = table_rule(np.ones((4, 4)))
         got = rhs_mixed_bound(small, 1, 1, sup_window(cap=64))
-        assert not got.truncated and got.conclusive
+        assert not got.truncated
 
     def test_frontier_beyond_support_is_conclusive_zero(self):
         small = table_rule(np.ones((4, 4)))
         spec = BoundSpec(BoundFamily.SUP_WINDOW, lam=1, b=lambda l: 20.0 * l,
                          horizon_cap=64)
         got = rhs_mixed_bound(small, 2, 2, spec)
-        assert got.value == 0.0 and got.conclusive and not got.truncated
+        assert got.value == 0.0 and not got.truncated
 
     def test_frontier_beyond_cap_inconclusive_for_unbounded_rules(self):
         spec = BoundSpec(BoundFamily.SUP_WINDOW, lam=1, b=lambda l: 40.0 * l,
                          horizon_cap=16)
         got = rhs_mixed_bound(geometric_double_rule(0.5), 2, 2, spec)
-        assert not got.conclusive
+        assert got.truncated and got.maximizer is None
 
 
 def square_frontier_sup(c, lo_sum, cap):
@@ -289,7 +295,7 @@ def square_frontier_sup(c, lo_sum, cap):
     if lo_sum > jmax + kmax:
         return BoundValue(0.0, maximizer=None)
     if lo_sum > m_hi + n_hi:
-        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+        return BoundValue(0.0, maximizer=None, truncated=True)
     top = 2 * max(m_hi, n_hi)
     js = np.arange(1, top + 1)
     grid = np.abs(c.values(js[:, None], js[None, :]))
@@ -315,7 +321,7 @@ def window_product_frontier_sup(c, lo_sum, cap):
     wv = _window_sums(np.abs(v.values(np.arange(1, 2 * cap + 1))), 1, starts)
     best = window_product_max(wu, wv, lo_sum)
     if best is None:
-        return BoundValue(0.0, maximizer=None, truncated=True, conclusive=False)
+        return BoundValue(0.0, maximizer=None, truncated=True)
     value, best_m, best_n = best
     return BoundValue(value, maximizer=(best_m, best_n),
                       truncated=best_m == cap or best_n == cap)
@@ -416,6 +422,31 @@ class TestMembershipScan:
         rep = _aggregate(evidence)
         assert rep.axis_fits == [fit]
         assert rep.verdict is Verdict.CONSISTENT and rep.c_estimate == 0.75
+
+
+class TestUnevaluatedBounds:
+    """A bound the cap never evaluates is truncated evidence: no scan reads
+    consistent from it, and none reads its zero value as a violation."""
+
+    @pytest.mark.parametrize("c", [geometric_double_rule(0.5),
+                                   additive_rule(geometric_rule(0.5), geometric_rule(0.5))],
+                             ids=["product", "general"])
+    def test_windows_and_frontiers_past_the_cap(self, c):
+        # block (2, 64): the row window starts at b(2) = 2, inside the cap;
+        # the column window would start at b(64) = 64 > 16, after its end,
+        # and the mixed frontier M + N >= 66 lies past 2 * 16
+        rep = membership_scan(c, 1.0, 1, sup_window(b=lambda l: float(l), cap=16), [(2, 64)])
+        got = [(e.axis, e.rhs > 0, e.truncated) for e in rep.per_block]
+        assert got == [("row", True, False), ("col", False, True), ("mixed", False, True)]
+        assert rep.verdict is Verdict.INCONCLUSIVE
+
+    def test_a_violation_elsewhere_still_reads(self):
+        # the truncated rows read nothing, the zero bound against a positive
+        # lhs reads violated
+        evidence = [BlockEvidence(2, 64, "col", 1.0, 0.0, _ratio(1.0, 0.0), True),
+                    BlockEvidence(2, 2, "row", 1.0, 0.0, _ratio(1.0, 0.0), False)]
+        assert _aggregate(evidence).verdict is Verdict.VIOLATED
+        assert _aggregate(evidence[:1]).verdict is Verdict.INCONCLUSIVE
 
 
 class TestGmScan:
@@ -578,3 +609,48 @@ def test_divisor_embedding_property_random_tables(seed, steps, p):
 def test_library_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the membership verdict against the rule it replaced
+
+
+def row(m, n, axis, lhs, rhs, truncated):
+    return BlockEvidence(m, n, axis, lhs, rhs, _ratio(lhs, rhs), truncated)
+
+
+_OCTAVE = st.integers(1, 12).map(lambda t: 2**t)
+_LHS = st.sampled_from([0.0, ABS_TOL, ABS_TOL / 2, 2 * ABS_TOL]) | st.floats(0.0, 1e3)
+_RHS = st.just(0.0) | st.floats(1e-3, 1e3)
+_ROWS = st.builds(row, _OCTAVE, _OCTAVE, st.sampled_from(_AXES), _LHS, _RHS, st.booleans())
+
+
+@st.composite
+def power_law_rows(draw):
+    """Rows along one axis whose ratios grow like a power of the anchor, so
+    that some draws fit a slope over enough octaves to read growth."""
+    axis = draw(st.sampled_from(_AXES))
+    lo, count = draw(st.integers(1, 4)), draw(st.integers(3, 9))
+    slope, noise = draw(st.floats(-0.5, 1.0)), draw(st.floats(0.0, 0.3))
+    rows = []
+    for t in range(lo, lo + count):
+        m, n = {"row": (2**t, 4), "col": (4, 2**t), "mixed": (2**t, 2**t)}[axis]
+        ratio = 2.0 ** (slope * t + noise * draw(st.floats(-1.0, 1.0)))
+        rows.append(row(m, n, axis, ratio, 1.0, False))
+    return rows
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_ROWS, min_size=1, max_size=12)
+       | st.tuples(power_law_rows(), st.lists(_ROWS, max_size=4)).map(lambda t: t[0] + t[1]))
+@example([row(2, 2, "row", 1.0, 1.0, True), row(4, 4, "mixed", 0.0, 0.0, True)])  # all truncated
+@example([row(2, 2, "row", ABS_TOL, 0.0, False)])  # a zero bound against lhs <= ABS_TOL
+@example([row(2, 2, "row", 2 * ABS_TOL, 0.0, False)])  # ... and against a larger lhs
+@example([row(2, 2, "col", 1.0, 0.0, True), row(4, 4, "row", 0.5, 2.0, False)])
+def test_aggregate_is_the_branch_rule(evidence):
+    got, want = _aggregate(evidence), branch_aggregate(evidence)
+    assert got.verdict is want.verdict
+    assert (got.per_block, got.c_estimate, got.axis_fits) == \
+        (want.per_block, want.c_estimate, want.axis_fits)
+    assert got.growth_fit == want.growth_fit or (math.isnan(got.growth_fit)
+                                                 and math.isnan(want.growth_fit))

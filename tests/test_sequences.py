@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgmlab.sequences import (
+    Bracket,
     DoubleSequenceRule,
+    Reading,
     SequenceRule,
     TailEnvelope,
     additive_rule,
@@ -598,3 +600,85 @@ def test_sorted_distinct_is_np_unique(a):
     got, want = sorted_distinct(a), np.unique(a)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one reading rule
+
+
+class Toy(Reading):
+    GOOD = "good"
+    BAD = "bad"
+    NEITHER = "neither"
+
+
+def below(c):
+    return lambda his: all(h < c for h in his)
+
+
+def above(c):
+    return lambda values: any(v > c for v in values)
+
+
+def test_every_family_reads_its_exit_code_from_its_position():
+    from dgmlab.convergence import ConvergenceVerdict
+    from dgmlab.counterexample import RatioVerdict
+    from dgmlab.decay import DecayVerdict
+    from dgmlab.membership import Verdict
+
+    families = {
+        Verdict: ["consistent", "violated", "inconclusive"],
+        ConvergenceVerdict: ["converging", "not-converging", "inconclusive"],
+        DecayVerdict: ["decaying", "not-decaying", "inconclusive"],
+        RatioVerdict: ["bounded", "growing", "inconclusive"],
+    }
+    for family, values in families.items():
+        assert [(m.value, m.code) for m in family] == list(zip(values, (0, 1, 2)))
+
+
+def test_good_reads_the_hi_sides_only():
+    # the values would read good, the upper bounds do not
+    assert Toy.read([Bracket(0.0, 1.0)], below(0.5), above(2.0)) is Toy.NEITHER
+    assert Toy.read([Bracket(0.0, 0.25), Bracket(0.4)], below(0.5), above(2.0)) is Toy.GOOD
+    assert Bracket(0.25, 0.5).hi == 0.75 and Bracket(3.0).hi == 3.0
+
+
+def test_bad_reads_the_value_sides_only():
+    # the upper bound would read bad, the value does not
+    assert Toy.read([Bracket(1.0, 5.0)], below(0.5), above(2.0)) is Toy.NEITHER
+    assert Toy.read([Bracket(3.0, 5.0), Bracket(0.0)], below(0.5), above(2.0)) is Toy.BAD
+
+
+@pytest.mark.parametrize("evidence", [[Bracket(0.0, math.inf)], [Bracket(math.inf)],
+                                      [Bracket(0.0), Bracket(1.0, math.nan)]])
+def test_an_unbounded_hi_never_reads_good(evidence):
+    # even a good predicate that holds everywhere, as `x <= 0.5 * x` does at inf
+    assert Toy.read(evidence, lambda his: True, lambda values: False) is Toy.NEITHER
+    assert Toy.read(evidence, lambda his: True, lambda values: True) is Toy.BAD
+
+
+_GAP = st.floats(0.0, 10.0) | st.just(0.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4),
+       st.floats(0.0, 10.0), st.floats(0.0, 5.0))
+def test_narrowing_toward_the_truth_never_flips_good_and_bad(data, truth, c_good, spread):
+    """Brackets around a fixed truth, narrowed step by step to it.  With a
+    good predicate closed downward and a bad one closed upward that never
+    both hold at one point, no reading is ever the opposite of another, a
+    reading once made stays, and the exact brackets read as the truth."""
+    good, bad = below(c_good), above(c_good + spread)
+    lo = [data.draw(_GAP) for _ in truth]
+    hi = [data.draw(_GAP | st.just(math.inf)) for _ in truth]
+    readings = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        readings.append(Toy.read([Bracket(t - a, a + b) for t, a, b in zip(truth, lo, hi)],
+                                 good, bad))
+        lo = [a * data.draw(st.floats(0.0, 1.0)) for a in lo]
+        hi = [b * data.draw(st.floats(0.0, 1.0)) if math.isfinite(b)
+              else data.draw(_GAP | st.just(math.inf)) for b in hi]
+    readings.append(Toy.read([Bracket(t) for t in truth], good, bad))
+    made = [r for r in readings if r is not Toy.NEITHER]
+    if made:
+        assert readings[readings.index(made[0]):] == [readings[-1]] * len(made)

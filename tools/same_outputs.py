@@ -14,8 +14,11 @@ The list holds the README examples of CHANGE, with ``data.csv`` a seeded
 20x20 real table and ``complex.csv`` a seeded 12x9 complex one; the argv
 shapes of the benchmark's ``remainder`` and ``scans`` operations at fixed
 values; scans and embedding checks on six rules; a direct sine sum past
-its compensated-sum length; five refusals; and ``--help`` of the program
-and of each subcommand.  Standard library only.
+its compensated-sum length; runs that read each of the three readings of
+the membership, convergence, decay and ratio verdicts, among them known
+wrong verdicts from truncated tails, unreached paths and a short fit; six
+refusals; and
+``--help`` of the program and of each subcommand.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 README_BLOCK = re.compile(r"```sh\n(.*?)```", re.S)
 
 TINY = "1,1,0.5\n1,2,0.25\n2,1,0.25\n2,2,0.125\n"
+TINY_COMPLEX = "1,1,0.5,0.1\n1,2,0.25\n2,1,0.25\n2,2,0.125\n"
 
 PROP = ["--seq", "proposition", "--r", "3", "--family", "max-window",
         "--octaves", "4:12", "--fixed-m", "16"]
@@ -90,6 +94,31 @@ EXTRA = [
     ("rational thresholds out of order", ["converge", "--grid-r", "3", "--at-rational", "1,1",
                                           "--thresholds", "16,8", "--cap", "64"]),
     ("decay thresholds out of order", ["decay", "--horizon", "64", "--thresholds", "16,8"]),
+    ("decay thresholds past the horizon", ["decay", "--horizon", "64",
+                                           "--thresholds", "16,8000"]),
+    # each family's three readings: a sampled sup below the tolerance (inconclusive) ...
+    ("converge complex 2x2", ["converge", "--seq", "table", "--table-file", "tiny-complex.csv",
+                              "--cap", "64"]),
+    # ... truncated diff tails and paths that do not reach the thresholds (decaying),
+    # a flat tail (not decaying) and a zero last tail without an envelope (inconclusive) ...
+    *((f"decay truncated {cond}", ["decay", "--seq", "power", "--exponent", "1",
+                                   "--condition", cond, "--p", "1", "--r", "1",
+                                   "--horizon", "1024", "--thresholds", thresholds])
+      for cond, thresholds in (("mixed-diff-tail", "16,256,1024"),
+                               ("row-diff-tail", "16,256,1900"))),
+    *((f"decay unreached paths {cond}", ["decay", *RULES["separable"], "--condition", cond,
+                                         "--horizon", "2048",
+                                         "--thresholds", "16,64,256,1024,4096"])
+      for cond in ("jk", "loglog", "row-tail")),
+    ("decay proposition row-tail", ["decay", "--seq", "proposition", "--condition", "row-tail"]),
+    # ... a growth fit over too few octaves (consistent) and bounds past the cap (inconclusive) ...
+    ("membership short octaves", ["membership", *PROP[:-4], "--p", "1", "--octaves", "4:9",
+                                  "--fixed-m", "16"]),
+    ("membership past the cap", ["membership", *RULES["power"], "--family", "sup-window",
+                                 "--cap", "4", "--blocks", "64x64"]),
+    # ... and a bounded ratio, and infinite ratios past the cap (inconclusive)
+    ("ratio bounded", ["counterexample", "ratio", "--norm-exponent", "2.25"]),
+    ("ratio past the cap", ["counterexample", "ratio", "--seq-p", "2", "--octaves", "4:18"]),
     ("help", ["--help"]),
 ] + [
     (f"help {command}", [command, "--help"])
@@ -137,6 +166,7 @@ def write_tables(work: Path) -> None:
         f"{j},{k},{rng.gauss(0.0, 1.0)!r},{rng.gauss(0.0, 1.0)!r}\n"
         for j in range(1, 13) for k in range(1, 10)))
     (work / "tiny.csv").write_text(TINY)
+    (work / "tiny-complex.csv").write_text(TINY_COMPLEX)
     (work / "blank-header.csv").write_text("\nj,k,re\n" + TINY)
 
 
