@@ -96,11 +96,11 @@ def _cap(name: str, value: int, low: int = 1, high: int = HORIZON_LIMIT) -> int:
     return value
 
 
-def _thresholds(ts: list[int], positive: bool = False) -> list[int]:
-    """Strictly increasing thresholds, all of them positive if ``positive``."""
+def _thresholds(ts: list[int]) -> list[int]:
+    """Strictly increasing positive thresholds."""
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("thresholds", "must be strictly increasing")
-    if positive and ts[0] < 1:
+    if ts[0] < 1:
         raise UsageError("thresholds", "must be positive")
     return ts
 
@@ -362,7 +362,7 @@ def _run_converge(args: argparse.Namespace) -> _Run:
                               rational_point_convergence, regular_remainder_sup)
     c = _double_rule(args)
     cap = _cap("cap", args.cap)
-    thresholds = _thresholds(args.thresholds, positive=True)
+    thresholds = _thresholds(args.thresholds)
     if cap < thresholds[-1]:
         raise UsageError("cap", f"must be at least the largest threshold {thresholds[-1]}, "
                                 f"got {cap}")

@@ -3,9 +3,10 @@
 ``decay_report`` samples one of ``DECAY_CONDITIONS`` over log-spaced
 frontier anchors (m, n): the weighted coefficients ``jk`` and ``loglog``,
 the row and column tails, and the mixed and row/column difference tails.
-Each tail is one sweep over the rows from the horizon H down, batched over
-the anchors.  ``classify_decay`` reads the report as decaying, not decaying
-or inconclusive, by the one rule of ``sequences.Reading``.
+Each tail is one sweep over the rows from H down, batched over the anchors,
+or suffix slices of a product rule's factor arrays over [1, H]: a report
+evaluates each rule or factor entry once.  ``classify_decay`` reads the
+report by the one rule of ``sequences.Reading``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .sequences import (
     Bracket,
     DoubleSequenceRule,
     Reading,
+    _suffix_max,
     mixed_diff_values,
     row_diff_values,
     step_diff_values,
@@ -73,11 +75,11 @@ def frontier_samples(horizon: int) -> list[tuple[int, int]]:
 
 
 def _decay_thresholds(samples: list[tuple[int, int]], thresholds: Sequence[int]) -> list[int]:
-    """The thresholds, checked before any sample is computed: strictly
+    """The thresholds, checked before any sample is computed: positive, strictly
     increasing, and reached by the largest index sum m + n of the samples."""
     ts = [int(t) for t in thresholds]
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("thresholds must be strictly increasing")
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] < 1:
+        raise ValueError("thresholds must be a strictly increasing positive list")
     if not samples or max(m + n for m, n in samples) < ts[-1]:
         raise ValueError("sampling horizon does not reach the largest threshold")
     return ts
@@ -117,7 +119,8 @@ def classify_decay(report: DecayReport) -> DecayVerdict:
 
 _CHUNK = 256
 
-# the tails take time H^2: at 2^15, each takes up to about 7 s and 175 MB on `separable`
+# the row sweep of a rule without factors takes time H^2: at 2^15, each tail takes
+# up to about 7 s and 175 MB on `separable`
 TAIL_HORIZON_LIMIT = 1 << 15
 
 
@@ -174,13 +177,12 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
     _check_tail_args(anchors, horizon)
     if any(m < 2 for m, _ in anchors):
         raise ValueError("need m >= 2 so the ln weight is positive")
+    js = np.arange(1, horizon + 1, dtype=np.int64)
+    weight = js * np.log(js)
     if c.factors is not None:
-        u, v = c.factors
-        values = []
-        for m, n in anchors:
-            js = np.arange(m, horizon + 1, dtype=np.int64)
-            sv = float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
-            values.append(float(np.max(js * np.log(js) * (np.abs(u.values(js)) * sv))))
+        au, av = (np.abs(f.values(js)) for f in c.factors)
+        values = [float(np.max(weight[m - 1:] * (au[m - 1:] * float(np.sum(av[n - 1:])))))
+                  for m, n in anchors]
     else:
         def weighted(js, ks):
             # j ln j times the row suffix sums, and a 0 for the columns past the support
@@ -191,17 +193,19 @@ def row_tail_sups(c: DoubleSequenceRule, anchors: Sequence[tuple[int, int]],
         k_hi = horizon if c.support is None else min(horizon, c.support[1])
         values = [float(s[0]) for s in _sweep(weighted, np.maximum, anchors, horizon, k_hi)]
     env, h1 = c.tail, horizon + 1.0
-    exact = c.support is not None and max(c.support) <= horizon
+    if c.support is not None and max(c.support) <= horizon:
+        return [Bracket(value) for value in values]
+    if env is None:
+        return [Bracket(value, math.inf) for value in values]
+    # the envelope's weight j ln j f(j): its sup over [m, H] is w_max[m - 1]
+    w_max = _suffix_max(weight * env.f(js.astype(float)))
+    beyond = _weight_is_decreasing(env.kind, env.a_j, h1)
     out = []
     for (m, n), value in zip(anchors, values):
-        residual = 0.0 if exact else math.inf
-        if env is not None and not exact:
-            js = np.arange(m, horizon + 1, dtype=np.int64)
-            resid_beyond = math.inf
-            if _weight_is_decreasing(env.kind, env.a_j, h1):
-                resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
-            w_max = float(np.max(js * np.log(js) * env.f(js.astype(float))))
-            residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
+        resid_beyond = math.inf
+        if beyond:
+            resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
+        residual = float(w_max[m - 1]) * env.amp * env.g_tail(horizon + 1) + resid_beyond
         out.append(Bracket(value, residual))
     return out
 
@@ -216,13 +220,9 @@ def mixed_diff_tails(c: DoubleSequenceRule, p: float, r: int,
     """
     _check_tail_args(anchors, horizon, p, r)
     if c.factors is not None:
-        u, v = c.factors
-        out = []
-        for m, n in anchors:
-            su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
-            sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
-            out.append((m * n) ** (1.0 / p) * su * sv)
-        return out
+        du, dv = (np.abs(step_diff_values(f, np.arange(1, horizon + 1), r)) for f in c.factors)
+        return [(m * n) ** (1.0 / p) * float(np.sum(du[m - 1:])) * float(np.sum(dv[n - 1:]))
+                for m, n in anchors]
     sums = _sweep(lambda js, ks: np.abs(mixed_diff_values(c, js, ks, r)), np.add,
                   anchors, horizon, horizon)
     return [(m * n) ** (1.0 / p) * float(np.sum(s)) for (m, n), s in zip(anchors, sums)]
@@ -239,12 +239,10 @@ def row_diff_tail_sups(c: DoubleSequenceRule, p: float, r: int,
     _check_tail_args(anchors, horizon, p, r)
     if c.factors is not None:
         u, v = c.factors
-        out = []
-        for m, n in anchors:
-            ks = np.arange(n, horizon + 1, dtype=np.int64)
-            su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
-            out.append(m ** (1.0 / p) * su * float(np.max(ks * np.abs(v.values(ks)))))
-        return out
+        ks = np.arange(1, horizon + 1, dtype=np.int64)
+        du = np.abs(step_diff_values(u, ks, r))
+        kv = _suffix_max(ks * np.abs(v.values(ks)))
+        return [m ** (1.0 / p) * float(np.sum(du[m - 1:])) * float(kv[n - 1]) for m, n in anchors]
     sums = _sweep(lambda js, ks: np.abs(row_diff_values(c, js, ks, r)), np.add,
                   anchors, horizon, horizon)
     return [m ** (1.0 / p) * float(np.max(np.arange(n, horizon + 1) * s))

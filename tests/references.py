@@ -10,6 +10,12 @@ These must equal their replacements bit for bit (``==``):
 * The decay reports that ``decay_report`` replaced: ``jk_decay``,
   ``loglog_decay``, and the CLI's dispatch of the tail conditions through
   ``tail_decay_report``.
+* The per-anchor product tails that suffix slices of factor arrays
+  evaluated once replaced: ``per_anchor_product_row_tails``,
+  ``per_anchor_product_mixed_diff_tails`` and
+  ``per_anchor_product_row_diff_tails`` evaluated the factors again over
+  [m, H] and [n, H] at every anchor, and ``per_anchor_row_tail_residuals``
+  rebuilt the envelope weight over [m, H] at every anchor.
 
 * The masked lookups ``masked_values_fn`` and ``masked_table_fn`` that
   the zero-padded lookups of ``rule_from_values`` and ``table_rule``
@@ -89,6 +95,7 @@ from dgmlab.decay import (
     DecayVerdict,
     _build_decay_report,
     _decay_thresholds,
+    _weight_is_decreasing,
     mixed_diff_tails,
     row_diff_tail_sups,
     row_tail_sups,
@@ -379,6 +386,57 @@ def loop_row_diff_tail(c, p, r, m, n, horizon, chunk=256):
         sums = functools.reduce(np.add, diffs)
         best = max(best, float(np.max(ks[i:i + chunk] * sums)))
     return m ** (1.0 / p) * best
+
+
+def per_anchor_product_row_tails(c, anchors, horizon):
+    """The values of ``row_tail_sups`` on a product rule, anchor by anchor."""
+    u, v = c.factors
+    values = []
+    for m, n in anchors:
+        js = np.arange(m, horizon + 1, dtype=np.int64)
+        sv = float(np.sum(np.abs(v.values(np.arange(n, horizon + 1)))))
+        values.append(float(np.max(js * np.log(js) * (np.abs(u.values(js)) * sv))))
+    return values
+
+
+def per_anchor_row_tail_residuals(c, anchors, horizon):
+    """The residuals of ``row_tail_sups``, anchor by anchor."""
+    env, h1 = c.tail, horizon + 1.0
+    exact = c.support is not None and max(c.support) <= horizon
+    out = []
+    for m, n in anchors:
+        residual = 0.0 if exact else math.inf
+        if env is not None and not exact:
+            js = np.arange(m, horizon + 1, dtype=np.int64)
+            resid_beyond = math.inf
+            if _weight_is_decreasing(env.kind, env.a_j, h1):
+                resid_beyond = h1 * math.log(h1) * env.f(h1) * env.amp * env.g_tail(n)
+            w_max = float(np.max(js * np.log(js) * env.f(js.astype(float))))
+            residual = w_max * env.amp * env.g_tail(horizon + 1) + resid_beyond
+        out.append(residual)
+    return out
+
+
+def per_anchor_product_mixed_diff_tails(c, p, r, anchors, horizon):
+    """``mixed_diff_tails`` on a product rule, anchor by anchor."""
+    u, v = c.factors
+    out = []
+    for m, n in anchors:
+        su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
+        sv = float(np.sum(np.abs(step_diff_values(v, np.arange(n, horizon + 1), r))))
+        out.append((m * n) ** (1.0 / p) * su * sv)
+    return out
+
+
+def per_anchor_product_row_diff_tails(c, p, r, anchors, horizon):
+    """``row_diff_tail_sups`` on a product rule, anchor by anchor."""
+    u, v = c.factors
+    out = []
+    for m, n in anchors:
+        ks = np.arange(n, horizon + 1, dtype=np.int64)
+        su = float(np.sum(np.abs(step_diff_values(u, np.arange(m, horizon + 1), r))))
+        out.append(m ** (1.0 / p) * su * float(np.max(ks * np.abs(v.values(ks)))))
+    return out
 
 
 def masked_values_fn(values):

@@ -634,6 +634,8 @@ class TestBoundedInputs:
           "--cap", "64"], "thresholds"),
         (["decay", "--horizon", "64", "--thresholds", "16,8"], "thresholds"),
         (["decay", "--horizon", "64", "--thresholds", "16,8000"], "thresholds"),
+        (["decay", "--horizon", "64", "--thresholds=-8,0"], "thresholds"),
+        (["decay", "--horizon", "1", "--thresholds=-3,0"], "thresholds"),
     ])
     def test_refused_fast(self, tmp_path, capsys, monkeypatch, argv, field):
         # the table files above, named relative to the working directory

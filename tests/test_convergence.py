@@ -66,6 +66,10 @@ from references import (
     loop_row_diff_tail,
     loop_row_tail,
     pair_term_sampled_sups,
+    per_anchor_product_mixed_diff_tails,
+    per_anchor_product_row_diff_tails,
+    per_anchor_product_row_tails,
+    per_anchor_row_tail_residuals,
     per_pair_product_sups,
     per_point_general_sups,
     per_point_sampled_sups,
@@ -844,6 +848,13 @@ class TestDecayReports:
         with pytest.raises(ValueError):
             decay_report(zero_double_rule(), "jk", [10**7], horizon=1 << 10)
 
+    @pytest.mark.parametrize("thresholds, horizon", [([0, 16], 64), ([-8, 0], 64),
+                                                     ([-3, 0], 1), ([-3], 1)])
+    def test_thresholds_must_be_positive(self, thresholds, horizon):
+        # as the remainder profiler's; at horizon 1 no anchor exists to reach them
+        with pytest.raises(ValueError, match="strictly increasing positive"):
+            decay_report(geometric_double_rule(0.5), "jk", thresholds, horizon)
+
     def test_thresholds_checked_before_any_sample(self, monkeypatch):
         calls = []
         for name in ("row_tail_sups", "row_diff_tail_sups", "mixed_diff_tails"):
@@ -999,6 +1010,67 @@ class TestProductTailPaths:
         for p, r, m, n, horizon in [(1.0, 1, 1, 1, 60), (2.0, 3, 4, 7, 80), (1.5, 2, 9, 2, 300)]:
             assert rel_close(row_diff_tail(fast, p, r, m, n, horizon),
                              row_diff_tail(slow, p, r, m, n, horizon))
+
+
+class TestProductTailSuffixes:
+    """A product rule's tails, read as suffix slices of factor arrays taken
+    once, against the per-anchor loops they replaced, bit for bit."""
+
+    HORIZONS = [2, 3, 7, 256, 257, 2048]
+
+    @staticmethod
+    def rules():
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=300)
+        a[40] = math.nan
+        rules = [
+            geometric_double_rule(0.5),
+            power_double_rule(2.0),
+            power_double_rule(1.5),  # the envelope weight decreases from H = 7 on
+            power_double_rule(1.0),  # ... and never
+            double_rule(2.0),
+            product_rule(rule_from_values(a), rule_from_values(rng.normal(size=200))),
+        ]
+        return rules + [transpose_rule(c) for c in rules]
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_row_tails_and_residuals(self, horizon):
+        anchors = frontier_samples(horizon)
+        for c in self.rules():
+            got = row_tail_sups(c, anchors, horizon)
+            assert_bits_equal([e.value for e in got],
+                              per_anchor_product_row_tails(c, anchors, horizon))
+            assert_bits_equal([e.residual for e in got],
+                              per_anchor_row_tail_residuals(c, anchors, horizon))
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_diff_tails(self, horizon, r, p):
+        anchors = frontier_samples(horizon)
+        for c in self.rules():
+            assert_bits_equal(mixed_diff_tails(c, p, r, anchors, horizon),
+                              per_anchor_product_mixed_diff_tails(c, p, r, anchors, horizon))
+            assert_bits_equal(row_diff_tail_sups(c, p, r, anchors, horizon),
+                              per_anchor_product_row_diff_tails(c, p, r, anchors, horizon))
+
+    @pytest.mark.parametrize("horizon", [256, 2048])
+    def test_each_factor_is_evaluated_at_most_twice(self, horizon):
+        calls = {"u": 0, "v": 0}
+
+        def counting(name, seq):
+            def fn(ks):
+                calls[name] += 1
+                return seq.fn(ks)
+            return dataclasses.replace(seq, fn=fn)
+
+        c = geometric_double_rule(0.5)
+        u, v = c.factors
+        c = product_rule(counting("u", u), counting("v", v), tail=c.tail)
+        for condition in DECAY_CONDITIONS:
+            calls.update(u=0, v=0)
+            decay_report(c, condition, [16, 64], horizon, r=3)
+            assert 1 <= calls["u"] <= 2 and 1 <= calls["v"] <= 2, (condition, calls)
 
 
 class TestDiffTails:

@@ -56,6 +56,12 @@ MUTANTS = [
     Mutant("decay_ignores_conclusive", "src/dgmlab/decay.py",
            "residual = report.trend_fit, 0.0 if report.conclusive else math.inf",
            "residual = report.trend_fit, 0.0"),
+    # a product rule's tails and the row-tail residual, read as suffixes
+    Mutant("product_tail_slice_shifted", "src/dgmlab/decay.py",
+           "(m * n) ** (1.0 / p) * float(np.sum(du[m - 1:]))",
+           "(m * n) ** (1.0 / p) * float(np.sum(du[m:]))"),
+    Mutant("row_tail_residual_global_max", "src/dgmlab/decay.py",
+           "float(w_max[m - 1])", "float(w_max[0])"),
     Mutant("aggregate_ignores_truncation", "src/dgmlab/membership.py",
            "Bracket(0.0, math.inf) if e.truncated", "Bracket(0.0) if e.truncated"),
     Mutant("growth_fit_any_octaves", "src/dgmlab/membership.py",

@@ -16,9 +16,10 @@ shapes of the benchmark's ``remainder`` and ``scans`` operations at fixed
 values; scans and embedding checks on six rules; a direct sine sum past
 its compensated-sum length; runs that read each of the three readings of
 the membership, convergence, decay and ratio verdicts, among them known
-wrong verdicts from truncated tails, unreached paths and a short fit; six
-refusals; and
-``--help`` of the program and of each subcommand.  Standard library only.
+wrong verdicts from truncated tails, unreached paths and a short fit; the
+five tail conditions on three product rules at steps 1 and 3; eight
+refusals; and ``--help`` of the program and of each subcommand.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ EXTRA = [
     ("decay thresholds out of order", ["decay", "--horizon", "64", "--thresholds", "16,8"]),
     ("decay thresholds past the horizon", ["decay", "--horizon", "64",
                                            "--thresholds", "16,8000"]),
+    ("decay thresholds not positive", ["decay", "--horizon", "64", "--thresholds=-8,0"]),
+    ("decay thresholds not positive, no anchor", ["decay", "--horizon", "1",
+                                                  "--thresholds=-3,0"]),
+    # a product rule's five tails, read from factor arrays taken once
+    *((f"decay {rule} {cond} r={r}", ["decay", *RULES[rule], "--condition", cond,
+                                      "--horizon", "2048", "--r", str(r),
+                                      "--thresholds", "16,64,256,1024"])
+      for rule in ("proposition", "geometric", "power")
+      for cond in ("row-tail", "col-tail", "mixed-diff-tail", "row-diff-tail", "col-diff-tail")
+      for r in (1, 3)),
     # each family's three readings: a sampled sup below the tolerance (inconclusive) ...
     ("converge complex 2x2", ["converge", "--seq", "table", "--table-file", "tiny-complex.csv",
                               "--cap", "64"]),
